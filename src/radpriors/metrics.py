@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import CorpusRecord, tokenize
 
@@ -47,18 +48,6 @@ def ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _clipped_matches(candidate: list[str], reference: list[str],
-                     n: int) -> tuple[int, int]:
-    """Return (clipped matched n-grams, possible candidate n-grams)."""
-    possible = max(len(candidate) - n + 1, 0)
-    if possible == 0:
-        return 0, 0
-    cand = ngram_counts(candidate, n)
-    ref = ngram_counts(reference, n)
-    matched = sum(min(count, ref[gram]) for gram, count in cand.items())
-    return matched, possible
-
-
 def _brevity_penalty(candidate_length: int, reference_length: int) -> float:
     if candidate_length == 0:
         return 0.0
@@ -76,42 +65,7 @@ def bleu(candidates: list[list[str]], references: list[list[str]],
     """
     if not 1 <= n <= MAX_ORDER:
         raise EvaluationError(f"BLEU order must be in 1..{MAX_ORDER}, got {n}")
-    if len(candidates) != len(references):
-        raise EvaluationError(
-            f"got {len(candidates)} candidates but {len(references)} references")
-    if not candidates:
-        raise EvaluationError("cannot score an empty candidate set")
-    matched = [0] * n
-    possible = [0] * n
-    candidate_length = 0
-    reference_length = 0
-    for candidate, reference in zip(candidates, references):
-        candidate_length += len(candidate)
-        reference_length += len(reference)
-        for order in range(1, n + 1):
-            m, p = _clipped_matches(candidate, reference, order)
-            matched[order - 1] += m
-            possible[order - 1] += p
-    if any(m == 0 or p == 0 for m, p in zip(matched, possible)):
-        return 0.0
-    log_precision = math.fsum(
-        math.log(m / p) for m, p in zip(matched, possible)) / n
-    return _brevity_penalty(candidate_length, reference_length) \
-        * math.exp(log_precision)
-
-
-def _smoothed_bleu(candidate: list[str], reference: list[str],
-                   n: int) -> float:
-    """Single-pair BLEU-n with zero-count orders smoothed to 1/(2c)."""
-    c = len(candidate)
-    if c == 0:
-        return 0.0
-    log_sum = 0.0
-    for order in range(1, n + 1):
-        m, p = _clipped_matches(candidate, reference, order)
-        precision = m / p if m > 0 and p > 0 else 1.0 / (2.0 * c)
-        log_sum += math.log(precision)
-    return _brevity_penalty(c, len(reference)) * math.exp(log_sum / n)
+    return _score_pairs(candidates, references).corpus_bleu[n - 1]
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:
@@ -166,10 +120,78 @@ def _reference_idf(references: list[list[str]], n: int) -> dict:
             for gram, df in document_frequency.items()}
 
 
-def _tfidf(tokens: list[str], n: int, idf: dict, log_total: float) -> dict:
+def _tfidf(counts: Counter, idf: dict, log_total: float) -> dict:
     # Grams absent from every reference get the df=1 fallback weight.
     return {gram: count * idf.get(gram, log_total)
-            for gram, count in ngram_counts(tokens, n).items()}
+            for gram, count in counts.items()}
+
+
+class _PassScores(NamedTuple):
+    pair_bleu: list[tuple[float, float, float, float]]
+    pair_cider: list[float]
+    corpus_bleu: tuple[float, float, float, float]
+    corpus_cider: float
+
+
+def _score_pairs(candidates: list[list[str]],
+                 references: list[list[str]]) -> _PassScores:
+    """Smoothed and corpus BLEU-1..4 plus CIDEr in one pass over the pairs.
+
+    Each pair's n-grams are counted once per order on each side, and
+    every score derives from those Counters. They are dropped before the
+    next pair, so memory holds one pair's Counters plus the IDF tables.
+    """
+    if len(candidates) != len(references):
+        raise EvaluationError(
+            f"got {len(candidates)} candidates but {len(references)} references")
+    if not candidates:
+        raise EvaluationError("cannot score an empty candidate set")
+    log_total = math.log(len(references))
+    idf_by_order = [_reference_idf(references, n)
+                    for n in range(1, MAX_ORDER + 1)]
+    matched = [0] * MAX_ORDER
+    possible = [0] * MAX_ORDER
+    candidate_length = 0
+    reference_length = 0
+    pair_bleu = []
+    pair_cider = []
+    for candidate, reference in zip(candidates, references):
+        c = len(candidate)
+        candidate_length += c
+        reference_length += len(reference)
+        penalty = _brevity_penalty(c, len(reference))
+        log_sum = 0.0
+        smoothed = []
+        similarities = []
+        for n, idf in enumerate(idf_by_order, start=1):
+            cand = ngram_counts(candidate, n)
+            ref = ngram_counts(reference, n)
+            m = sum(min(count, ref[gram]) for gram, count in cand.items())
+            matched[n - 1] += m
+            possible[n - 1] += max(c - n + 1, 0)
+            if c:
+                # A match implies c >= n, so m / (c - n + 1) is defined.
+                log_sum += math.log(m / (c - n + 1) if m else 1.0 / (2.0 * c))
+                smoothed.append(penalty * math.exp(log_sum / n))
+            else:
+                smoothed.append(0.0)
+            similarities.append(cosine(_tfidf(cand, idf, log_total),
+                                       _tfidf(ref, idf, log_total)))
+        pair_bleu.append(tuple(smoothed))
+        pair_cider.append(CIDER_SCALE * math.fsum(similarities) / MAX_ORDER)
+
+    corpus_penalty = _brevity_penalty(candidate_length, reference_length)
+    corpus_bleu = []
+    for n in range(1, MAX_ORDER + 1):
+        if 0 in matched[:n]:
+            corpus_bleu.append(0.0)
+            continue
+        log_precision = math.fsum(
+            math.log(m / p) for m, p in zip(matched[:n], possible[:n])) / n
+        corpus_bleu.append(corpus_penalty * math.exp(log_precision))
+    return _PassScores(pair_bleu=pair_bleu, pair_cider=pair_cider,
+                       corpus_bleu=tuple(corpus_bleu),
+                       corpus_cider=math.fsum(pair_cider) / len(pair_cider))
 
 
 def cider(candidates: list[list[str]],
@@ -180,25 +202,8 @@ def cider(candidates: list[list[str]],
     corpus has IDF log(1) = 0 everywhere and scores 0 by the zero-norm
     guard rather than erroring.
     """
-    if len(candidates) != len(references):
-        raise EvaluationError(
-            f"got {len(candidates)} candidates but {len(references)} references")
-    if not candidates:
-        raise EvaluationError("cannot score an empty candidate set")
-    log_total = math.log(len(references))
-    idf_by_order = [_reference_idf(references, n)
-                    for n in range(1, MAX_ORDER + 1)]
-    scores = []
-    for candidate, reference in zip(candidates, references):
-        per_order = []
-        for n in range(1, MAX_ORDER + 1):
-            idf = idf_by_order[n - 1]
-            cand_vec = _tfidf(candidate, n, idf, log_total)
-            ref_vec = _tfidf(reference, n, idf, log_total)
-            per_order.append(cosine(cand_vec, ref_vec))
-        scores.append(CIDER_SCALE * math.fsum(per_order) / MAX_ORDER)
-    mean = math.fsum(scores) / len(scores)
-    return scores, mean
+    scores = _score_pairs(candidates, references)
+    return scores.pair_cider, scores.corpus_cider
 
 
 @dataclass(frozen=True)
@@ -262,22 +267,17 @@ def evaluate_corpus(records: list[CorpusRecord]) -> MetricReport:
         candidates.append(tokenize(record.candidate))
         references.append(tokenize(record.reference))
 
-    cider_scores, cider_mean = cider(candidates, references)
-    per_report = []
-    for record, candidate, reference, cider_score in zip(
-            records, candidates, references, cider_scores):
-        per_bleu = tuple(_smoothed_bleu(candidate, reference, n)
-                         for n in range(1, MAX_ORDER + 1))
-        per_report.append(ReportScores(
-            id=record.id,
-            bleu=per_bleu,
-            rouge_l=rouge_l(candidate, reference),
-            cider=cider_score,
-        ))
+    scores = _score_pairs(candidates, references)
+    per_report = [
+        ReportScores(id=record.id, bleu=pair_bleu,
+                     rouge_l=rouge_l(candidate, reference), cider=pair_cider)
+        for record, candidate, reference, pair_bleu, pair_cider in zip(
+            records, candidates, references, scores.pair_bleu,
+            scores.pair_cider)
+    ]
     corpus = CorpusScores(
-        bleu=tuple(bleu(candidates, references, n)
-                   for n in range(1, MAX_ORDER + 1)),
+        bleu=scores.corpus_bleu,
         rouge_l=math.fsum(row.rouge_l for row in per_report) / len(per_report),
-        cider=cider_mean,
+        cider=scores.corpus_cider,
     )
     return MetricReport(per_report=per_report, corpus=corpus)
