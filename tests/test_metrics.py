@@ -12,10 +12,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from radpriors.corpus import load_corpus, make_report
-from radpriors.metrics import (EvaluationError, bleu, cider, evaluate_corpus,
-                               lcs_length, ngram_counts, rouge_l)
+from radpriors.corpus import CorpusRecord, load_corpus, make_report
+from radpriors.metrics import (EvaluationError, bleu, cider, cosine,
+                               evaluate_corpus, lcs_length, ngram_counts,
+                               rouge_l)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 VOCAB = ["the", "lung", "is", "clear", "heart", "normal", "effusion", "no"]
@@ -61,6 +63,117 @@ def oracle_cider_pair(candidate, reference, all_references):
         nv = math.sqrt(sum(x * x for x in v.values()))
         sims.append(dot / (nu * nv) if nu > 0 and nv > 0 else 0.0)
     return 10.0 * sum(sims) / 4
+
+
+# Reference scorer: the recount-based BLEU and CIDEr that evaluate_corpus
+# used before it scored each pair in one pass. Every order is recounted
+# for every score; the shared pass must reproduce these values exactly.
+
+def reference_clipped_matches(candidate, reference, n):
+    possible = max(len(candidate) - n + 1, 0)
+    if possible == 0:
+        return 0, 0
+    cand = ngram_counts(candidate, n)
+    ref = ngram_counts(reference, n)
+    matched = sum(min(count, ref[gram]) for gram, count in cand.items())
+    return matched, possible
+
+
+def reference_brevity_penalty(candidate_length, reference_length):
+    if candidate_length == 0:
+        return 0.0
+    if candidate_length < reference_length:
+        return math.exp(1.0 - reference_length / candidate_length)
+    return 1.0
+
+
+def reference_bleu(candidates, references, n):
+    matched = [0] * n
+    possible = [0] * n
+    candidate_length = 0
+    reference_length = 0
+    for candidate, reference in zip(candidates, references):
+        candidate_length += len(candidate)
+        reference_length += len(reference)
+        for order in range(1, n + 1):
+            m, p = reference_clipped_matches(candidate, reference, order)
+            matched[order - 1] += m
+            possible[order - 1] += p
+    if any(m == 0 or p == 0 for m, p in zip(matched, possible)):
+        return 0.0
+    log_precision = math.fsum(
+        math.log(m / p) for m, p in zip(matched, possible)) / n
+    return reference_brevity_penalty(candidate_length, reference_length) \
+        * math.exp(log_precision)
+
+
+def reference_smoothed_bleu(candidate, reference, n):
+    c = len(candidate)
+    if c == 0:
+        return 0.0
+    log_sum = 0.0
+    for order in range(1, n + 1):
+        m, p = reference_clipped_matches(candidate, reference, order)
+        precision = m / p if m > 0 and p > 0 else 1.0 / (2.0 * c)
+        log_sum += math.log(precision)
+    return reference_brevity_penalty(c, len(reference)) \
+        * math.exp(log_sum / n)
+
+
+def reference_cider(candidates, references):
+    log_total = math.log(len(references))
+    idf_by_order = []
+    for n in range(1, 5):
+        document_frequency = Counter()
+        for reference in references:
+            document_frequency.update(set(ngram_counts(reference, n)))
+        idf_by_order.append({gram: log_total - math.log(df)
+                             for gram, df in document_frequency.items()})
+
+    def tfidf(tokens, n):
+        idf = idf_by_order[n - 1]
+        return {gram: count * idf.get(gram, log_total)
+                for gram, count in ngram_counts(tokens, n).items()}
+
+    scores = []
+    for candidate, reference in zip(candidates, references):
+        per_order = [cosine(tfidf(candidate, n), tfidf(reference, n))
+                     for n in range(1, 5)]
+        scores.append(10.0 * math.fsum(per_order) / 4)
+    return scores, math.fsum(scores) / len(scores)
+
+
+# A four-word vocabulary makes repeated n-grams common.
+PAIR_TOKENS = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=12)
+PAIRS = st.lists(st.tuples(PAIR_TOKENS, PAIR_TOKENS), min_size=1, max_size=6)
+
+
+class TestSharedPassMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(PAIRS)
+    @example([([], ["a", "b"]), (["a"], ["a"])])
+    @example([(["a"], ["a", "b"]), (["b"], ["b", "a"])])
+    @example([(["a", "b", "a", "b"], ["a", "b", "a", "b", "a"])])
+    @example([(["a", "a", "a", "a"], ["a", "a"]), (["b", "b"], ["b"]),
+              (["c", "d", "c", "d", "c"], ["d", "c", "d"])])
+    def test_evaluate_corpus_equals_recount_reference(self, pairs):
+        records = [CorpusRecord(report=make_report(f"r{i}", "x"),
+                                candidate=" ".join(candidate),
+                                reference=" ".join(reference))
+                   for i, (candidate, reference) in enumerate(pairs)]
+        candidates = [candidate for candidate, _ in pairs]
+        references = [reference for _, reference in pairs]
+        report = evaluate_corpus(records)
+        want_cider, want_mean = reference_cider(candidates, references)
+        for row, candidate, reference, cider_score in zip(
+                report.per_report, candidates, references, want_cider):
+            assert row.bleu == tuple(
+                reference_smoothed_bleu(candidate, reference, n)
+                for n in range(1, 5))
+            assert row.cider == cider_score
+        assert report.corpus.bleu == tuple(
+            reference_bleu(candidates, references, n) for n in range(1, 5))
+        assert report.corpus.cider == want_mean
 
 
 class TestBleu:
