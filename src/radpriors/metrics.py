@@ -100,13 +100,17 @@ def rouge_l(candidate: list[str], reference: list[str],
 
 
 def cosine(u: dict, v: dict) -> float:
-    """Cosine similarity of sparse vectors; 0 when either norm is 0."""
+    """Cosine similarity of sparse vectors; 0 when either norm is 0.
+
+    Clamped to 1.0: the rounded norms can make parallel vectors read
+    1.0000000000000002, which would lift CIDEr above its maximum of 10.
+    """
     norm_u = math.sqrt(math.fsum(x * x for x in u.values()))
     norm_v = math.sqrt(math.fsum(x * x for x in v.values()))
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
     dot = math.fsum(u[gram] * v.get(gram, 0.0) for gram in u)
-    return dot / (norm_u * norm_v)
+    return min(dot / (norm_u * norm_v), 1.0)
 
 
 def _reference_idf(references: list[list[str]], n: int) -> dict:

@@ -277,6 +277,16 @@ class TestCider:
                           [["x", "y", "z"], ["q", "r"]])
         assert scores[0] == 0.0
 
+    def test_parallel_vectors_score_exactly_one(self):
+        # Unclamped, the rounded norms give 1.0000000000000002 here.
+        u = {"a": 1.0, "b": 1.0, "c": 1.0}
+        assert cosine(u, dict(u)) == 1.0
+
+    def test_identical_pair_never_exceeds_ten(self):
+        docs = [["clear"], ["the", "heart", "the", "heart"]]
+        scores, _ = cider(docs, docs)
+        assert scores[1] == 10.0
+
     def test_single_document_corpus_is_zero_without_error(self):
         tokens = "the heart is normal".split()
         scores, mean = cider([tokens], [tokens])
