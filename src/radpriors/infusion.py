@@ -36,7 +36,6 @@ __all__ = [
     "visual_extract",
     "infuse",
     "forward",
-    "forward_baseline",
     "teacher_forced_loss",
     "grad_check",
 ]
@@ -283,24 +282,17 @@ def _greedy_decode(model: ToyModel, Ln: np.ndarray,
     return tokens
 
 
-def forward(model: ToyModel, images: ImagePair, prior: float,
+def forward(model: ToyModel, images: ImagePair, prior: float | None,
             max_len: int | None = None) -> ForwardResult:
-    """Full infused forward pass: images to greedy token sequence."""
-    value = _check_prior(prior)
+    """Full infused forward pass: images to greedy token sequence.
+
+    ``prior=None`` is the no-infusion baseline: both infusion steps are
+    deleted, which is distinct from adding a zero prior.
+    """
+    value = None if prior is None else _check_prior(prior)
     max_len = model.config.max_len if max_len is None else max_len
     patches = _flatten_patches(images, model.config)
     state = _encode(model, patches, value)
-    tokens = _greedy_decode(model, state["Ln"], max_len)
-    return ForwardResult(tokens=tokens, latent=state["L"],
-                         latent_infused=state["Ln"])
-
-
-def forward_baseline(model: ToyModel, images: ImagePair,
-                     max_len: int | None = None) -> ForwardResult:
-    """Forward pass with the infusion steps deleted (not P=0 added)."""
-    max_len = model.config.max_len if max_len is None else max_len
-    patches = _flatten_patches(images, model.config)
-    state = _encode(model, patches, None)
     tokens = _greedy_decode(model, state["Ln"], max_len)
     return ForwardResult(tokens=tokens, latent=state["L"],
                          latent_infused=state["Ln"])

@@ -21,7 +21,6 @@ from radpriors.infusion import (
     ToyModel,
     demo_image_pair,
     forward,
-    forward_baseline,
     grad_check,
     infuse,
 )
@@ -219,7 +218,7 @@ class TestAcceptance:
             images = demo_image_pair(17)
             count_before = model.parameter_count()
             forward(model, images, 1.0)
-            baseline = forward_baseline(model, images)
+            baseline = forward(model, images, None)
             assert model.parameter_count() == count_before
             assert model.parameter_count() == \
                 ToyModel(ToyConfig()).parameter_count()

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from radpriors.infusion import (ImagePair, InfusionError, ToyConfig, ToyModel,
-                                demo_image_pair, forward, forward_baseline,
-                                grad_check, infuse, teacher_forced_loss,
-                                visual_extract)
+                                demo_image_pair, forward, grad_check, infuse,
+                                teacher_forced_loss, visual_extract)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +101,7 @@ class TestForward:
 
     def test_zero_prior_matches_baseline_bitwise(self, model, images):
         infused = forward(model, images, prior=0.0)
-        baseline = forward_baseline(model, images)
+        baseline = forward(model, images, prior=None)
         assert infused.tokens == baseline.tokens
         assert infused.latent.tobytes() == baseline.latent.tobytes()
         assert infused.latent_infused.tobytes() == \
@@ -121,7 +120,7 @@ class TestForward:
     def test_no_new_weights_between_modes(self, model, images):
         before = model.parameter_count()
         forward(model, images, prior=1.0)
-        forward_baseline(model, images)
+        forward(model, images, prior=None)
         assert model.parameter_count() == before == 6496
 
 
