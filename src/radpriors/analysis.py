@@ -15,13 +15,13 @@ import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ._io import atomic_write_text
 from .corpus import CorpusRecord
-from .labeler import LabelCounts, PriorLabel
+from .labeler import PriorLabel
 
 __all__ = [
     "ScoreRow",
@@ -30,7 +30,6 @@ __all__ = [
     "StratifiedSummary",
     "LengthStats",
     "stratify",
-    "count_labels",
     "length_stats",
     "emit_plot_data",
 ]
@@ -142,19 +141,6 @@ def stratify(rows: Sequence[ScoreRow], bins: int = DEFAULT_BINS,
         strata[wanted] = _stratum(scores, bins, value_range, lengths)
     return StratifiedSummary(negative=strata[0], positive=strata[1],
                              bins=bins, value_range=value_range)
-
-
-def count_labels(labels: Iterable[PriorLabel | int]) -> LabelCounts:
-    """Tally labels (either :class:`PriorLabel` objects or raw 0/1)."""
-    negative = positive = 0
-    for label in labels:
-        value = label.value if isinstance(label, PriorLabel) else int(label)
-        if value == 1:
-            positive += 1
-        else:
-            negative += 1
-    return LabelCounts(negative=negative, positive=positive,
-                       total=negative + positive)
 
 
 @dataclass(frozen=True)

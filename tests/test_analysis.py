@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radpriors.analysis import (ScoreRow, count_labels, emit_plot_data,
-                                length_stats, stratify)
+from radpriors.analysis import ScoreRow, emit_plot_data, length_stats, stratify
 from radpriors.corpus import load_corpus, make_report
-from radpriors.labeler import PriorLabel, label_corpus
+from radpriors.labeler import label_corpus
 from radpriors.rules import default_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -113,26 +112,8 @@ class TestStratify:
 class TestCountLabels:
     def test_table_fixture_counts(self):
         records = load_corpus(FIXTURES / "golden4.jsonl")
-        labels, _ = label_corpus(records, default_rules())
-        counts = count_labels(labels)
+        _, counts = label_corpus(records, default_rules())
         assert counts.to_dict() == {"negative": 1, "positive": 3, "total": 4}
-
-    def test_empty(self):
-        assert count_labels([]).to_dict() == \
-            {"negative": 0, "positive": 0, "total": 0}
-
-    def test_permutation_invariant(self):
-        rng = random.Random(5)
-        values = [rng.randint(0, 1) for _ in range(50)]
-        shuffled = values[:]
-        rng.shuffle(shuffled)
-        assert count_labels(values) == count_labels(shuffled)
-
-    def test_accepts_plain_ints_and_labels(self):
-        mixed = [0, 1, PriorLabel(value=1, evidence=())]
-        counts = count_labels(mixed)
-        assert counts.positive == 2
-        assert counts.negative == 1
 
 
 class TestLengthStats:
