@@ -25,7 +25,7 @@ from .labeler import LabelCounts, PriorLabel, label_corpus
 from .metrics import EvaluationError, MetricReport, evaluate_corpus
 from .rules import RuleFileError, RuleSet, default_rules, load_rules
 
-__all__ = ["main", "run", "pipeline_label_then_eval", "PipelineResult"]
+__all__ = ["run", "pipeline_label_then_eval", "PipelineResult"]
 
 _DATA_ERRORS = (CorpusError, RuleFileError, EvaluationError, InfusionError,
                 OSError)
@@ -194,8 +194,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rules_version = "unknown"
     try:
         rules_version = default_rules().version
-    except Exception:
-        pass
+    except (OSError, RuleFileError) as exc:
+        print(f"warning: cannot read the bundled rules: {exc}",
+              file=sys.stderr)
     parser.add_argument(
         "--version", action="version",
         version=f"radpriors {__version__} (default rules {rules_version})")
@@ -265,9 +266,5 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
 
-def main(argv: list[str] | None = None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(run())

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from radpriors.cli import main, pipeline_label_then_eval
+from radpriors import cli
+from radpriors.cli import pipeline_label_then_eval, run
 from radpriors.corpus import load_corpus
+from radpriors.rules import RuleFileError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -14,8 +16,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 class TestLabelCommand:
     def test_table_fixture_labels(self, tmp_path, capsys):
         out = tmp_path / "labels.jsonl"
-        code = main(["label", "--in", str(FIXTURES / "golden4.jsonl"),
-                     "--out", str(out)])
+        code = run(["label", "--in", str(FIXTURES / "golden4.jsonl"),
+                    "--out", str(out)])
         assert code == 0
         lines = [json.loads(line) for line in
                  out.read_text(encoding="utf-8").splitlines()]
@@ -26,14 +28,14 @@ class TestLabelCommand:
 
     def test_line_count_matches_record_count(self, tmp_path):
         out = tmp_path / "labels.jsonl"
-        main(["label", "--in", str(FIXTURES / "synthetic50.jsonl"),
-              "--out", str(out)])
+        run(["label", "--in", str(FIXTURES / "synthetic50.jsonl"),
+             "--out", str(out)])
         assert len(out.read_text(encoding="utf-8").splitlines()) == 50
 
     def test_evidence_structure(self, tmp_path):
         out = tmp_path / "labels.jsonl"
-        main(["label", "--in", str(FIXTURES / "golden4.jsonl"),
-              "--out", str(out)])
+        run(["label", "--in", str(FIXTURES / "golden4.jsonl"),
+             "--out", str(out)])
         first = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
         item = first["evidence"][0]
         assert set(item) == {"sentence_index", "span", "rule"}
@@ -41,8 +43,8 @@ class TestLabelCommand:
 
     def test_label_on_candidate(self, tmp_path):
         out = tmp_path / "labels.jsonl"
-        code = main(["label", "--in", str(FIXTURES / "pipeline3.jsonl"),
-                     "--out", str(out), "--label-on", "candidate"])
+        code = run(["label", "--in", str(FIXTURES / "pipeline3.jsonl"),
+                    "--out", str(out), "--label-on", "candidate"])
         assert code == 0
         labels = [json.loads(line)["label"] for line in
                   out.read_text(encoding="utf-8").splitlines()]
@@ -51,8 +53,8 @@ class TestLabelCommand:
     def test_summary_file(self, tmp_path):
         out = tmp_path / "labels.jsonl"
         summary = tmp_path / "counts.json"
-        main(["label", "--in", str(FIXTURES / "golden4.jsonl"),
-              "--out", str(out), "--summary", str(summary)])
+        run(["label", "--in", str(FIXTURES / "golden4.jsonl"),
+             "--out", str(out), "--summary", str(summary)])
         assert json.loads(summary.read_text(encoding="utf-8")) == \
             {"negative": 1, "positive": 3, "total": 4}
 
@@ -61,8 +63,8 @@ class TestLabelCommand:
         rules.write_text("[keywords]\n[negations]\n[priors]\n",
                          encoding="utf-8")
         out = tmp_path / "labels.jsonl"
-        main(["label", "--in", str(FIXTURES / "golden4.jsonl"),
-              "--out", str(out), "--rules", str(rules)])
+        run(["label", "--in", str(FIXTURES / "golden4.jsonl"),
+             "--out", str(out), "--rules", str(rules)])
         labels = [json.loads(line)["label"] for line in
                   out.read_text(encoding="utf-8").splitlines()]
         assert labels == [0, 0, 0, 0]
@@ -70,28 +72,38 @@ class TestLabelCommand:
 
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):
-        assert main([]) == 1
+        assert run([]) == 1
         capsys.readouterr()
 
     def test_unknown_command_is_usage_error(self, capsys):
-        assert main(["bogus"]) == 1
+        assert run(["bogus"]) == 1
         capsys.readouterr()
 
     def test_version_exits_zero(self, capsys):
-        assert main(["--version"]) == 0
+        assert run(["--version"]) == 0
         printed = capsys.readouterr().out
         assert printed.startswith("radpriors 0.1.0")
         assert "rules 1" in printed
 
+    def test_version_survives_unreadable_rules(self, monkeypatch, capsys):
+        def broken_rules():
+            raise RuleFileError("line 3: unknown section [bogus]")
+
+        monkeypatch.setattr(cli, "default_rules", broken_rules)
+        assert run(["--version"]) == 0
+        captured = capsys.readouterr()
+        assert "default rules unknown" in captured.out
+        assert "line 3: unknown section [bogus]" in captured.err
+
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
-        code = main(["label", "--in", str(tmp_path / "absent.jsonl"),
-                     "--out", str(tmp_path / "out.jsonl")])
+        code = run(["label", "--in", str(tmp_path / "absent.jsonl"),
+                    "--out", str(tmp_path / "out.jsonl")])
         assert code == 2
         capsys.readouterr()
 
     def test_eval_without_candidates_names_first_id(self, tmp_path, capsys):
-        code = main(["eval", "--in", str(FIXTURES / "golden4.jsonl"),
-                     "--out", str(tmp_path / "m.json")])
+        code = run(["eval", "--in", str(FIXTURES / "golden4.jsonl"),
+                    "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert "t1" in capsys.readouterr().err
 
@@ -100,7 +112,7 @@ class TestExitCodes:
         bad.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n',
                        encoding="utf-8")
         out = tmp_path / "labels.jsonl"
-        assert main(["label", "--in", str(bad), "--out", str(out)]) == 2
+        assert run(["label", "--in", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
         capsys.readouterr()
@@ -110,8 +122,8 @@ class TestEvalCommand:
     def test_writes_report_and_csv(self, tmp_path, capsys):
         out = tmp_path / "metrics.json"
         csv_out = tmp_path / "metrics.csv"
-        code = main(["eval", "--in", str(FIXTURES / "eval3.jsonl"),
-                     "--out", str(out), "--csv", str(csv_out)])
+        code = run(["eval", "--in", str(FIXTURES / "eval3.jsonl"),
+                    "--out", str(out), "--csv", str(csv_out)])
         assert code == 0
         report = json.loads(out.read_text(encoding="utf-8"))
         assert len(report["per_report"]) == 3
@@ -122,8 +134,8 @@ class TestEvalCommand:
 
     def test_gold_labels_flag(self, tmp_path, capsys):
         out = tmp_path / "metrics.json"
-        code = main(["eval", "--in", str(FIXTURES / "pipeline3.jsonl"),
-                     "--out", str(out), "--gold-labels"])
+        code = run(["eval", "--in", str(FIXTURES / "pipeline3.jsonl"),
+                    "--out", str(out), "--gold-labels"])
         assert code == 0
         rows = json.loads(out.read_text(encoding="utf-8"))["per_report"]
         assert [row["label"] for row in rows] == [0, 1, 0]
@@ -133,8 +145,8 @@ class TestEvalCommand:
 class TestAnalyzeCommand:
     def test_summary_payload(self, tmp_path, capsys):
         out = tmp_path / "analysis.json"
-        code = main(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
-                     "--out", str(out)])
+        code = run(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
+                    "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["metric"] == "bleu4"
@@ -146,16 +158,16 @@ class TestAnalyzeCommand:
     def test_plot_data_files(self, tmp_path, capsys):
         out = tmp_path / "analysis.json"
         plot = tmp_path / "plot.csv"
-        main(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
-              "--out", str(out), "--plot-data", str(plot)])
+        run(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
+             "--out", str(out), "--plot-data", str(plot)])
         assert plot.exists()
         assert plot.with_suffix(".json").exists()
         capsys.readouterr()
 
     def test_cider_metric_uses_wider_range(self, tmp_path, capsys):
         out = tmp_path / "analysis.json"
-        main(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
-              "--out", str(out), "--metric", "cider"])
+        run(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
+             "--out", str(out), "--metric", "cider"])
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["stratified"]["metadata"]["range"] == [0.0, 10.0]
         capsys.readouterr()
@@ -164,9 +176,9 @@ class TestAnalyzeCommand:
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
         for out in (first, second):
-            main(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
-                  "--out", str(out), "--plot-data",
-                  str(out.with_suffix(".csv"))])
+            run(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
+                 "--out", str(out), "--plot-data",
+                 str(out.with_suffix(".csv"))])
         assert first.read_bytes() == second.read_bytes()
         assert first.with_suffix(".csv").read_bytes() == \
             second.with_suffix(".csv").read_bytes()
@@ -175,8 +187,8 @@ class TestAnalyzeCommand:
 
 class TestInfuseDemoCommand:
     def test_prints_tokens_and_grad_error(self, capsys):
-        code = main(["infuse-demo", "--seed", "17", "--prior", "1",
-                     "--grad-check"])
+        code = run(["infuse-demo", "--seed", "17", "--prior", "1",
+                    "--grad-check"])
         assert code == 0
         printed = capsys.readouterr().out
         assert "tokens=" in printed
@@ -184,8 +196,8 @@ class TestInfuseDemoCommand:
 
     def test_emit_latents(self, tmp_path, capsys):
         out = tmp_path / "latents.json"
-        code = main(["infuse-demo", "--seed", "17", "--prior", "0",
-                     "--emit-latents", str(out)])
+        code = run(["infuse-demo", "--seed", "17", "--prior", "0",
+                    "--emit-latents", str(out)])
         assert code == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert set(payload) == {"seed", "prior", "tokens", "latent",
@@ -196,8 +208,8 @@ class TestInfuseDemoCommand:
     def test_deterministic_latents(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
-            main(["infuse-demo", "--seed", "3", "--prior", "1",
-                  "--emit-latents", str(out)])
+            run(["infuse-demo", "--seed", "3", "--prior", "1",
+                 "--emit-latents", str(out)])
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
 
