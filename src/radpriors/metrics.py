@@ -171,11 +171,11 @@ def _score_pairs(candidates: list[list[str]],
             cand = ngram_counts(candidate, n)
             ref = ngram_counts(reference, n)
             m = sum(min(count, ref[gram]) for gram, count in cand.items())
+            p = max(c - n + 1, 0)
             matched[n - 1] += m
-            possible[n - 1] += max(c - n + 1, 0)
+            possible[n - 1] += p
             if c:
-                # A match implies c >= n, so m / (c - n + 1) is defined.
-                log_sum += math.log(m / (c - n + 1) if m else 1.0 / (2.0 * c))
+                log_sum += math.log(m / p if m else 1.0 / (2.0 * c))
                 smoothed.append(penalty * math.exp(log_sum / n))
             else:
                 smoothed.append(0.0)
