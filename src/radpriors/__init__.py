@@ -7,8 +7,7 @@ encoder-decoder.
 """
 
 from .corpus import (CorpusError, CorpusRecord, Report, extract_findings,
-                     load_corpus, make_report, split_sentences, tokenize,
-                     write_corpus)
+                     load_corpus, make_report, split_sentences, tokenize)
 from .labeler import (ClassifiedMention, LabelCounts, Mention, PriorLabel,
                       Verdict, aggregate, classify_mentions, extract_mentions,
                       label_corpus, label_report)
@@ -22,7 +21,6 @@ __all__ = [
     "__version__",
     "CorpusError", "CorpusRecord", "Report", "extract_findings",
     "load_corpus", "make_report", "split_sentences", "tokenize",
-    "write_corpus",
     "ClassifiedMention", "LabelCounts", "Mention", "PriorLabel", "Verdict",
     "aggregate", "classify_mentions", "extract_mentions", "label_corpus",
     "label_report",

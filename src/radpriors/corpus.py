@@ -23,7 +23,6 @@ __all__ = [
     "tokenize",
     "make_report",
     "load_corpus",
-    "write_corpus",
 ]
 
 
@@ -161,6 +160,7 @@ class CorpusRecord:
 
 
 _OPTIONAL_FIELDS = ("reference", "candidate", "label")
+_UTF8_BOM = b"\xef\xbb\xbf"
 
 
 def load_corpus(path: str | Path, format: str = "jsonl") -> list[CorpusRecord]:
@@ -191,6 +191,8 @@ def _load_jsonl(path: Path) -> list[CorpusRecord]:
         for line_no, raw_line in enumerate(handle, start=1):
             line_offset = offset
             offset += len(raw_line)
+            if line_no == 1:
+                raw_line = raw_line.removeprefix(_UTF8_BOM)
             try:
                 text_line = raw_line.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -212,7 +214,7 @@ def _load_jsonl(path: Path) -> list[CorpusRecord]:
 
 def _load_csv(path: Path) -> list[CorpusRecord]:
     records = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             return []
@@ -222,9 +224,9 @@ def _load_csv(path: Path) -> list[CorpusRecord]:
                 f"missing required column(s): {', '.join(sorted(missing))}",
                 line=1)
         for row in reader:
-            mapping = {k: v for k, v in row.items()
-                       if k in ("id", "text") + _OPTIONAL_FIELDS
-                       and v is not None and v != ""}
+            # An empty cell is an absent optional field, but an empty text.
+            mapping = {k: v for k, v in row.items() if v is not None and (
+                k in ("id", "text") or k in _OPTIONAL_FIELDS and v != "")}
             records.append(_record_from_mapping(mapping, reader.line_num, None))
     return records
 
@@ -258,32 +260,3 @@ def _record_from_mapping(obj: dict, line_no: int,
         candidate=obj.get("candidate"),
         gold_label=label,
     )
-
-
-def write_corpus(records: list[CorpusRecord], path: str | Path,
-                 format: str = "jsonl") -> None:
-    """Serialize records back to disk; the inverse of :func:`load_corpus`."""
-    path = Path(path)
-    rows = []
-    for record in records:
-        row: dict[str, object] = {"id": record.id, "text": record.report.raw_text}
-        if record.reference is not None:
-            row["reference"] = record.reference
-        if record.candidate is not None:
-            row["candidate"] = record.candidate
-        if record.gold_label is not None:
-            row["label"] = record.gold_label
-        rows.append(row)
-    if format == "jsonl":
-        with open(path, "w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(json.dumps(row, ensure_ascii=False) + "\n")
-    elif format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(
-                handle, fieldnames=["id", "text", "reference", "candidate", "label"])
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-    else:
-        raise CorpusError(f"unknown corpus format {format!r}")

@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 
 from .corpus import CorpusError, CorpusRecord, Report, make_report
-from .rules import KeywordEntry, RuleSet, RuleTemplate
+from .rules import KeywordEntry, RuleSet
 
 __all__ = [
     "Verdict",
@@ -87,37 +87,20 @@ class LabelCounts:
 def extract_mentions(report: Report, rules: RuleSet) -> list[Mention]:
     """Find all keyword occurrences in sentence, then token, order.
 
-    A token matches at most one keyword entry; when several surfaces
-    apply, the longest wins and ties go to the earlier entry in the
-    rules file.
+    A token matches at most one keyword entry, the one
+    :meth:`RuleSet.keyword_for` picks.
     """
-    exact: dict[str, tuple[int, KeywordEntry]] = {}
-    stems: list[tuple[int, KeywordEntry]] = []
-    for index, entry in enumerate(rules.keywords):
-        if entry.stem:
-            stems.append((index, entry))
-        elif entry.surface not in exact:
-            exact[entry.surface] = (index, entry)
-
     mentions = []
     for sentence_index, tokens in enumerate(report.tokens):
         for position, token in enumerate(tokens):
-            candidates = []
-            if token in exact:
-                candidates.append(exact[token])
-            for index, entry in stems:
-                if entry.matches(token):
-                    candidates.append((index, entry))
-            if not candidates:
-                continue
-            # Longest surface wins; ties break toward file order.
-            candidates.sort(key=lambda item: (-len(item[1].surface), item[0]))
-            mentions.append(Mention(
-                keyword=candidates[0][1],
-                sentence_index=sentence_index,
-                token_span=(position, position + 1),
-                surface=token,
-            ))
+            keyword = rules.keyword_for(token)
+            if keyword is not None:
+                mentions.append(Mention(
+                    keyword=keyword,
+                    sentence_index=sentence_index,
+                    token_span=(position, position + 1),
+                    surface=token,
+                ))
     return mentions
 
 

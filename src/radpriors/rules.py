@@ -23,7 +23,7 @@ by marker patterns (see the labeler module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -81,18 +81,16 @@ class _Gap:
     max: int
 
 
-class _MentionSlot:
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "{m}"
-
-
-_MENTION = _MentionSlot()
-_Atom = _Literal | _Gap | _MentionSlot
+_Atom = _Literal | _Gap
 
 
 @dataclass(frozen=True)
 class RuleTemplate:
-    """A compiled template: the atoms before and after the mention slot."""
+    """A compiled template: the atoms on each side of the mention slot.
+
+    Both sides are stored nearest-the-mention first, so ``pre`` holds the
+    atoms before ``{m}`` in reverse template order.
+    """
 
     rule_id: str
     pre: tuple[_Atom, ...]
@@ -111,94 +109,74 @@ class RuleTemplate:
         bound. Returns the full matched token span (first to last consumed
         token, mention included) or None.
         """
-        start = _match_back(self.pre, tokens, span[0])
-        if start is None:
+        before = _match(self.pre, tokens, 0, span[0] - 1, -1)
+        if before is None:
             return None
-        end = _match_forward(self.post, tokens, span[1])
+        end = _match(self.post, tokens, 0, span[1], 1)
         if end is None:
             return None
-        return (start, end)
+        return (before + 1, end)
 
 
-def _match_back(atoms: tuple[_Atom, ...], tokens: list[str],
-                end: int) -> int | None:
-    """Match atoms right-to-left so the last atom ends at ``end``."""
-    if not atoms:
-        return end
-    atom = atoms[-1]
-    rest = atoms[:-1]
-    if isinstance(atom, _Gap):
-        for width in range(atom.max + 1):
-            if end - width < 0:
-                break
-            found = _match_back(rest, tokens, end - width)
-            if found is not None:
-                return found
-        return None
-    if end - 1 < 0 or tokens[end - 1] not in atom.choices:
-        return None
-    return _match_back(rest, tokens, end - 1)
+def _match(atoms: tuple[_Atom, ...], tokens: list[str], k: int, pos: int,
+           step: int) -> int | None:
+    """Match ``atoms[k:]`` reading tokens from ``pos`` in direction ``step``.
 
-
-def _match_forward(atoms: tuple[_Atom, ...], tokens: list[str],
-                   start: int) -> int | None:
-    """Match atoms left-to-right beginning at ``start``."""
-    if not atoms:
-        return start
-    atom = atoms[0]
-    rest = atoms[1:]
-    if isinstance(atom, _Gap):
-        for width in range(atom.max + 1):
-            if start + width > len(tokens):
-                break
-            found = _match_forward(rest, tokens, start + width)
-            if found is not None:
-                return found
-        return None
-    if start >= len(tokens) or tokens[start] not in atom.choices:
-        return None
-    return _match_forward(rest, tokens, start + 1)
+    Returns the position one step past the last consumed token, or None.
+    """
+    while k < len(atoms):
+        atom = atoms[k]
+        if isinstance(atom, _Gap):
+            # Each side ends in a literal, so a gap must leave a token.
+            for width in range(atom.max + 1):
+                gap_end = pos + step * width
+                if not 0 <= gap_end < len(tokens):
+                    break
+                found = _match(atoms, tokens, k + 1, gap_end, step)
+                if found is not None:
+                    return found
+            return None
+        if not 0 <= pos < len(tokens) or tokens[pos] not in atom.choices:
+            return None
+        pos += step
+        k += 1
+    return pos
 
 
 def parse_template(rule_id: str, text: str, line: int | None = None) -> RuleTemplate:
     """Compile a template string, validating the atom grammar."""
-    atoms: list[_Atom] = []
-    mention_index: int | None = None
     parts = text.split()
     if not parts:
         raise RuleFileError(f"template {rule_id!r} is empty", line=line)
-    for part in parts:
-        if part == "{m}":
-            if mention_index is not None:
-                raise RuleFileError(
-                    f"template {rule_id!r} has more than one {{m}}", line=line)
-            mention_index = len(atoms)
-            atoms.append(_MENTION)
-        elif part.startswith(".."):
-            digits = part[2:]
-            if not digits.isdigit():
-                raise RuleFileError(
-                    f"template {rule_id!r}: bad gap atom {part!r}", line=line)
-            atoms.append(_Gap(int(digits)))
-        else:
-            choices = tuple(choice for choice in part.lower().split("|"))
-            if any(not choice for choice in choices):
-                raise RuleFileError(
-                    f"template {rule_id!r}: empty alternation branch in {part!r}",
-                    line=line)
-            atoms.append(_Literal(choices))
-    if mention_index is None:
+    if "{m}" not in parts:
         raise RuleFileError(
             f"template {rule_id!r} is missing the {{m}} placeholder", line=line)
-    if isinstance(atoms[0], _Gap) or isinstance(atoms[-1], _Gap):
+    if parts.count("{m}") > 1:
+        raise RuleFileError(
+            f"template {rule_id!r} has more than one {{m}}", line=line)
+    slot = parts.index("{m}")
+    pre = tuple(_parse_atom(rule_id, part, line)
+                for part in reversed(parts[:slot]))
+    post = tuple(_parse_atom(rule_id, part, line) for part in parts[slot + 1:])
+    if any(side and isinstance(side[-1], _Gap) for side in (pre, post)):
         raise RuleFileError(
             f"template {rule_id!r} may not begin or end with a gap", line=line)
-    return RuleTemplate(
-        rule_id=rule_id,
-        pre=tuple(atoms[:mention_index]),
-        post=tuple(atoms[mention_index + 1:]),
-        source=text,
-    )
+    return RuleTemplate(rule_id=rule_id, pre=pre, post=post, source=text)
+
+
+def _parse_atom(rule_id: str, part: str, line: int | None) -> _Atom:
+    if part.startswith(".."):
+        digits = part[2:]
+        if not digits.isdecimal():
+            raise RuleFileError(
+                f"template {rule_id!r}: bad gap atom {part!r}", line=line)
+        return _Gap(int(digits))
+    choices = tuple(part.lower().split("|"))
+    if not all(choices):
+        raise RuleFileError(
+            f"template {rule_id!r}: empty alternation branch in {part!r}",
+            line=line)
+    return _Literal(choices)
 
 
 @dataclass
@@ -210,6 +188,29 @@ class RuleSet:
     prior_patterns: list[RuleTemplate]
     change_verbs: frozenset[str]
     version: str = "0"
+    # Built from ``keywords`` once; the rule set is not edited after use.
+    _by_precedence: list[KeywordEntry] = field(
+        init=False, repr=False, compare=False)
+    _keyword_memo: dict[str, KeywordEntry | None] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # A stable sort, so surfaces of equal length keep file order.
+        self._by_precedence = sorted(self.keywords,
+                                     key=lambda entry: -len(entry.surface))
+
+    def keyword_for(self, token: str) -> KeywordEntry | None:
+        """The keyword entry a token is a mention of, or None.
+
+        When several entries match, the longest surface wins and ties go
+        to the earlier entry in the rules file. Each token is resolved
+        once per rule set and remembered.
+        """
+        memo = self._keyword_memo
+        if token not in memo:
+            memo[token] = next((entry for entry in self._by_precedence
+                                if entry.matches(token)), None)
+        return memo[token]
 
     def validate(self) -> None:
         surfaces = set()

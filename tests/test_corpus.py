@@ -1,13 +1,13 @@
 """Corpus loading, findings extraction, sentence splitting, tokenizing."""
 
+import csv
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from radpriors.corpus import (CorpusError, extract_findings, load_corpus,
-                              make_report, split_sentences, tokenize,
-                              write_corpus)
+                              make_report, split_sentences, tokenize)
 
 # Final words must not look like guarded abbreviations ("vs.", "dr.", ...).
 WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=2, max_size=8) \
@@ -188,21 +188,43 @@ class TestLoadCorpus:
         assert record.reference == "lungs clear"
         assert record.gold_label == 0
 
+    ROWS = [
+        {"id": "a", "text": "Lungs clear."},
+        {"id": "b", "text": 'Stable, compared to "prior"\nexam.',
+         "reference": "heart normal", "candidate": "the heart is normal",
+         "label": 1},
+        {"id": "c", "text": ""},
+    ]
+
+    def _write_both(self, tmp_path):
+        jsonl = self._write(tmp_path, [json.dumps(row) for row in self.ROWS])
+        table = tmp_path / "corpus.csv"
+        with open(table, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=[
+                "id", "text", "reference", "candidate", "label"])
+            writer.writeheader()
+            writer.writerows(self.ROWS)
+        return {"jsonl": jsonl, "csv": table}
+
+    def test_jsonl_and_csv_load_equal_records(self, tmp_path):
+        paths = self._write_both(tmp_path)
+        records = load_corpus(paths["jsonl"])
+        assert records == load_corpus(paths["csv"], format="csv")
+        assert records[2].report.raw_text == ""
+        assert records[2].reference is None
+
     @pytest.mark.parametrize("format", ["jsonl", "csv"])
-    def test_write_then_load_is_fixed_point(self, tmp_path, format):
-        source = self._write(tmp_path, [
-            json.dumps({"id": "a", "text": "Lungs clear."}),
-            json.dumps({"id": "b", "text": "Heart normal.",
-                        "reference": "heart normal",
-                        "candidate": "the heart is normal", "label": 1}),
-        ])
-        records = load_corpus(source)
-        out = tmp_path / f"copy.{format}"
-        write_corpus(records, out, format=format)
-        reloaded = load_corpus(out, format=format)
-        for first, second in zip(records, reloaded):
-            assert first.id == second.id
-            assert first.report.raw_text == second.report.raw_text
-            assert first.reference == second.reference
-            assert first.candidate == second.candidate
-            assert first.gold_label == second.gold_label
+    def test_utf8_bom_is_accepted(self, tmp_path, format):
+        path = self._write_both(tmp_path)[format]
+        want = load_corpus(path, format=format)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_corpus(path, format=format) == want
+
+    def test_byte_offset_after_bom_counts_the_bom(self, tmp_path):
+        good = json.dumps({"id": "a", "text": "ok"}).encode("utf-8")
+        path = tmp_path / "bom.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + good + b"\n{not json\n")
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path)
+        assert err.value.line == 2
+        assert err.value.byte_offset == 3 + len(good) + 1

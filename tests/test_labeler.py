@@ -3,8 +3,9 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from radpriors.corpus import CorpusError, load_corpus, make_report
+from radpriors.corpus import CorpusError, Report, load_corpus, make_report
 from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
                                Verdict, aggregate, classify_mentions,
                                extract_mentions, label_corpus, label_report)
@@ -267,3 +268,70 @@ class TestLabelerProperties:
             separate = max(label_report(left.report, rules).value,
                            label_report(right.report, rules).value)
             assert combined == separate
+
+
+def reference_extract_mentions(report, rules):
+    """Mention extraction as it was before RuleSet.keyword_for: an
+    exact/stem index built per report and a candidate sort per token."""
+    exact = {}
+    stems = []
+    for index, entry in enumerate(rules.keywords):
+        if entry.stem:
+            stems.append((index, entry))
+        elif entry.surface not in exact:
+            exact[entry.surface] = (index, entry)
+
+    mentions = []
+    for sentence_index, tokens in enumerate(report.tokens):
+        for position, token in enumerate(tokens):
+            candidates = []
+            if token in exact:
+                candidates.append(exact[token])
+            for index, entry in stems:
+                if entry.matches(token):
+                    candidates.append((index, entry))
+            if not candidates:
+                continue
+            candidates.sort(key=lambda item: (-len(item[1].surface), item[0]))
+            mentions.append(Mention(
+                keyword=candidates[0][1],
+                sentence_index=sentence_index,
+                token_span=(position, position + 1),
+                surface=token,
+            ))
+    return mentions
+
+
+# Prefix chains ("un" < "unchang" < "unchanged") in both modes, repeats
+# allowed, so precedence and its file-order tie-break decide every token.
+KEYWORD_TABLES = st.lists(
+    st.builds(KeywordEntry,
+              st.sampled_from(["un", "unchang", "unchanged", "pri", "prio",
+                               "prior", "priors"]),
+              st.booleans()),
+    max_size=8)
+TOKEN_SENTENCES = st.lists(
+    st.lists(st.sampled_from(["u", "un", "unchang", "unchanged", "unchanging",
+                              "pr", "pri", "prio", "prior", "priors",
+                              "priority", "the"]), max_size=6),
+    max_size=3)
+
+
+class TestExtractMentionsEqualsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(KEYWORD_TABLES, TOKEN_SENTENCES)
+    @example([KeywordEntry("un", True), KeywordEntry("unchang", True),
+              KeywordEntry("unchanged")], [["unchanged", "unchanging", "un"]])
+    @example([KeywordEntry("prio", True), KeywordEntry("prio"),
+              KeywordEntry("pri", True)], [["prio", "prior", "pri"]])
+    def test_same_mentions_and_same_keyword_objects(self, keywords, tokens):
+        rules = RuleSet(keywords=keywords, negation_patterns=[],
+                        prior_patterns=[], change_verbs=frozenset())
+        report = Report(id="r", raw_text="", findings="",
+                        sentences=[" ".join(s) for s in tokens], tokens=tokens)
+        want = reference_extract_mentions(report, rules)
+        for _ in range(2):  # the second pass reads the memoized entries
+            got = extract_mentions(report, rules)
+            assert got == want
+            assert [id(m.keyword) for m in got] == \
+                [id(m.keyword) for m in want]

@@ -1,11 +1,12 @@
 """Rules-file parsing and template matching."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from radpriors.corpus import make_report
 from radpriors.labeler import label_report
-from radpriors.rules import (RuleFileError, RuleSet, default_rules,
-                             load_rules, parse_template)
+from radpriors.rules import (RuleFileError, RuleSet, _Gap, _Literal,
+                             default_rules, load_rules, parse_template)
 
 QUOTED_KEYWORDS = {"previous", "prior", "preceding", "previously", "again",
                    "comparison", "interval", "increase", "decrease",
@@ -110,8 +111,9 @@ class TestParseTemplate:
             parse_template("r", "a| {m}")
 
     def test_malformed_gap_rejected(self):
-        with pytest.raises(RuleFileError):
-            parse_template("r", "a ..x {m}")
+        for gap in ("..x", "..", "..²"):
+            with pytest.raises(RuleFileError):
+                parse_template("r", f"a {gap} {{m}}")
 
     def test_marker_prefix_detection(self):
         assert parse_template("marker-compared", "compared to {m}").is_marker
@@ -177,3 +179,118 @@ class TestRuleSetValidate:
                         change_verbs=frozenset())
         with pytest.raises(RuleFileError, match="lowercase"):
             rules.validate()
+
+
+# Reference matcher: the parser and the two mirrored recursive matchers
+# that RuleTemplate.match used before the index-based one. Atoms stay in
+# template order on both sides; the compiled template must match exactly
+# as these do.
+_MENTION = object()
+
+
+def reference_parse(text):
+    """Return the atoms before and after {m}, or raise RuleFileError."""
+    atoms = []
+    mention_index = None
+    parts = text.split()
+    if not parts:
+        raise RuleFileError("empty")
+    for part in parts:
+        if part == "{m}":
+            if mention_index is not None:
+                raise RuleFileError("more than one {m}")
+            mention_index = len(atoms)
+            atoms.append(_MENTION)
+        elif part.startswith(".."):
+            digits = part[2:]
+            if not digits.isdigit():
+                raise RuleFileError("bad gap atom")
+            atoms.append(_Gap(int(digits)))
+        else:
+            choices = tuple(choice for choice in part.lower().split("|"))
+            if any(not choice for choice in choices):
+                raise RuleFileError("empty alternation branch")
+            atoms.append(_Literal(choices))
+    if mention_index is None:
+        raise RuleFileError("missing {m}")
+    if isinstance(atoms[0], _Gap) or isinstance(atoms[-1], _Gap):
+        raise RuleFileError("gap at an edge")
+    return tuple(atoms[:mention_index]), tuple(atoms[mention_index + 1:])
+
+
+def reference_match_back(atoms, tokens, end):
+    if not atoms:
+        return end
+    atom = atoms[-1]
+    rest = atoms[:-1]
+    if isinstance(atom, _Gap):
+        for width in range(atom.max + 1):
+            if end - width < 0:
+                break
+            found = reference_match_back(rest, tokens, end - width)
+            if found is not None:
+                return found
+        return None
+    if end - 1 < 0 or tokens[end - 1] not in atom.choices:
+        return None
+    return reference_match_back(rest, tokens, end - 1)
+
+
+def reference_match_forward(atoms, tokens, start):
+    if not atoms:
+        return start
+    atom = atoms[0]
+    rest = atoms[1:]
+    if isinstance(atom, _Gap):
+        for width in range(atom.max + 1):
+            if start + width > len(tokens):
+                break
+            found = reference_match_forward(rest, tokens, start + width)
+            if found is not None:
+                return found
+        return None
+    if start >= len(tokens) or tokens[start] not in atom.choices:
+        return None
+    return reference_match_forward(rest, tokens, start + 1)
+
+
+def reference_match(pre, post, tokens, span):
+    start = reference_match_back(pre, tokens, span[0])
+    if start is None:
+        return None
+    end = reference_match_forward(post, tokens, span[1])
+    if end is None:
+        return None
+    return (start, end)
+
+
+# A three-word vocabulary, so literals and alternations often match; the
+# malformed atoms and a stray {m} exercise every parse error.
+TEMPLATE_ATOMS = st.sampled_from([
+    "a", "b", "c", "a|b", "B|c", "c|a|b", "..0", "..1", "..2", "..3",
+    "..x", "a|", "{m}"])
+TEMPLATES = st.builds(
+    lambda pre, post: " ".join(pre + ["{m}"] + post),
+    st.lists(TEMPLATE_ATOMS, max_size=4), st.lists(TEMPLATE_ATOMS, max_size=4))
+SENTENCES = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1,
+                     max_size=9)
+
+
+class TestMatcherEqualsReference:
+    @settings(max_examples=400, deadline=None)
+    @given(TEMPLATES, SENTENCES)
+    @example("a ..2 b {m} ..1 c", ["a", "b", "a", "b", "d", "d", "c"])
+    @example("b ..3 {m} ..0 a", ["b", "b", "d", "b", "a"])
+    @example("a {m}", ["d"])
+    def test_parse_and_match_equal_reference(self, text, tokens):
+        try:
+            want = reference_parse(text)
+        except RuleFileError:
+            with pytest.raises(RuleFileError):
+                parse_template("r", text)
+            return
+        template = parse_template("r", text)
+        for position in range(len(tokens)):
+            span = (position, position + 1)
+            assert template.match(tokens, span) == \
+                reference_match(*want, tokens, span)
