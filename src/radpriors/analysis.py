@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -20,17 +19,13 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ._io import atomic_write_text
-from .corpus import CorpusRecord
-from .labeler import PriorLabel
 
 __all__ = [
     "ScoreRow",
     "Histogram",
     "StratumStats",
     "StratifiedSummary",
-    "LengthStats",
     "stratify",
-    "length_stats",
     "emit_plot_data",
 ]
 
@@ -141,45 +136,6 @@ def stratify(rows: Sequence[ScoreRow], bins: int = DEFAULT_BINS,
         strata[wanted] = _stratum(scores, bins, value_range, lengths)
     return StratifiedSummary(negative=strata[0], positive=strata[1],
                              bins=bins, value_range=value_range)
-
-
-@dataclass(frozen=True)
-class LengthStats:
-    negative_mean: float | None
-    negative_median: float | None
-    positive_mean: float | None
-    positive_median: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "negative": {"mean": self.negative_mean,
-                         "median": self.negative_median},
-            "positive": {"mean": self.positive_mean,
-                         "median": self.positive_median},
-        }
-
-
-def length_stats(records: Sequence[CorpusRecord],
-                 labels: Sequence[PriorLabel | int]) -> LengthStats:
-    """Mean and median report token counts per label."""
-    if len(records) != len(labels):
-        raise ValueError(
-            f"got {len(records)} records but {len(labels)} labels")
-    by_label: dict[int, list[int]] = {0: [], 1: []}
-    for record, label in zip(records, labels):
-        value = label.value if isinstance(label, PriorLabel) else int(label)
-        token_count = sum(len(tokens) for tokens in record.report.tokens)
-        by_label[value].append(token_count)
-    stats: dict[int, tuple[float | None, float | None]] = {}
-    for value, counts in by_label.items():
-        if counts:
-            stats[value] = (math.fsum(counts) / len(counts),
-                            float(statistics.median(counts)))
-        else:
-            stats[value] = (None, None)
-    return LengthStats(
-        negative_mean=stats[0][0], negative_median=stats[0][1],
-        positive_mean=stats[1][0], positive_median=stats[1][1])
 
 
 def emit_plot_data(summary: StratifiedSummary, csv_path: str | Path) -> Path:

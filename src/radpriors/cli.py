@@ -9,15 +9,16 @@ partial outputs behind.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 from dataclasses import dataclass
 
 from . import __version__
 from ._io import atomic_write_text
-from .analysis import (LengthStats, ScoreRow, StratifiedSummary,
-                       emit_plot_data, length_stats, stratify)
+from .analysis import ScoreRow, StratifiedSummary, emit_plot_data, stratify
 from .corpus import CorpusError, CorpusRecord, load_corpus, tokenize
 from .infusion import (InfusionError, ToyConfig, ToyModel, demo_image_pair,
                        forward, grad_check)
@@ -47,7 +48,6 @@ class PipelineResult:
     counts: LabelCounts
     labels: list[PriorLabel]
     summary: StratifiedSummary
-    lengths: LengthStats
 
 
 def pipeline_label_then_eval(records: list[CorpusRecord],
@@ -58,7 +58,8 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
 
     This mirrors the analysis used to compare generated reports: the
     label comes from the candidate text, the score from candidate vs
-    reference, and the summary groups scores by that label.
+    reference, and the summary groups scores by that label; each
+    stratum's mean token length is that of its candidates.
     """
     if metric not in _METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}")
@@ -77,9 +78,8 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
     value_range = (0.0, 10.0) if metric == "cider" else (0.0, 1.0)
     summary = stratify(rows, bins=bins, value_range=value_range,
                        token_lengths=token_lengths)
-    lengths = length_stats(records, labels)
     return PipelineResult(metrics=metrics, counts=counts, labels=labels,
-                          summary=summary, lengths=lengths)
+                          summary=summary)
 
 
 def _load_ruleset(path: str | None) -> RuleSet:
@@ -108,13 +108,15 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 
 def _per_report_csv(metrics: MetricReport) -> str:
-    header = "id,bleu1,bleu2,bleu3,bleu4,rouge_l,cider,label"
-    lines = [header]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["id", "bleu1", "bleu2", "bleu3", "bleu4", "rouge_l",
+                     "cider", "label"])
     for row in metrics.per_report:
-        label = "" if row.label is None else str(row.label)
         values = [repr(v) for v in (*row.bleu, row.rouge_l, row.cider)]
-        lines.append(",".join([row.id, *values, label]))
-    return "".join(line + "\n" for line in lines)
+        label = "" if row.label is None else row.label
+        writer.writerow([row.id, *values, label])
+    return buffer.getvalue()
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -147,7 +149,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "metric": args.metric,
         "counts": result.counts.to_dict(),
         "stratified": result.summary.to_dict(),
-        "length_stats": result.lengths.to_dict(),
         "corpus_metrics": result.metrics.corpus.to_dict(),
         "positive_mean_below_negative": positive_below,
     }
@@ -183,6 +184,17 @@ def _cmd_infuse_demo(args: argparse.Namespace) -> int:
         report = grad_check(model, images, prior=float(args.prior))
         print(f"grad-check max relative error: {report.max_rel_error:.3e}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -233,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--rules", help="rules file overriding the bundled set")
     analyze.add_argument("--metric", choices=_METRIC_NAMES, default="bleu4",
                          help="metric to stratify")
-    analyze.add_argument("--bins", type=int, default=20,
+    analyze.add_argument("--bins", type=_positive_int, default=20,
                          help="histogram bin count")
     analyze.add_argument("--csv", help="also write per-report scores as CSV")
     analyze.add_argument("--plot-data",

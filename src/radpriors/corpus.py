@@ -2,8 +2,9 @@
 
 Reports arrive as JSONL or CSV records with an ``id`` and a free-text
 ``text`` field, plus optional ``reference``, ``candidate``, and ``label``
-columns. Each record's text is normalized once at load time into a
-:class:`Report` so downstream stages share one tokenization.
+columns. A :class:`CorpusRecord` holds these raw fields as loaded; a field
+is normalized into a :class:`Report` (findings, sentences, tokens) only
+when it is labeled, by :func:`make_report`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import string
-from dataclasses import dataclass, field
+import unicodedata
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
@@ -114,12 +116,18 @@ def tokenize(sentence: str) -> list[str]:
 
     Leading and trailing punctuation is removed from each token while
     internal hyphens and slashes survive ("ill-defined" stays one token).
-    De-identification masks ("XXXX") come through as the token "xxxx".
-    Tokens that were purely punctuation are dropped.
+    Beyond ASCII punctuation, a non-ASCII token also loses leading and
+    trailing Unicode punctuation (category ``P*``: curly quotes,
+    guillemets, the ellipsis).  De-identification masks ("XXXX") come
+    through as the token "xxxx".  Tokens that were purely punctuation are
+    dropped.
     """
     tokens = []
     for chunk in sentence.lower().split():
         token = chunk.strip(_STRIP_CHARS)
+        if not token.isascii():
+            token = token.strip(_STRIP_CHARS + "".join(
+                ch for ch in token if unicodedata.category(ch)[0] == "P"))
         if token:
             tokens.append(token)
     return tokens
@@ -127,36 +135,29 @@ def tokenize(sentence: str) -> list[str]:
 
 @dataclass
 class Report:
-    """One normalized report: raw text plus derived views of it."""
+    """One normalized text: its findings' sentences and their tokens."""
 
     id: str
-    raw_text: str
-    findings: str
     sentences: list[str]
     tokens: list[list[str]]
 
 
 def make_report(report_id: str, raw_text: str) -> Report:
     """Build a :class:`Report` by the fixed findings/sentence/token chain."""
-    findings = extract_findings(raw_text)
-    sentences = split_sentences(findings)
-    tokens = [tokenize(s) for s in sentences]
-    return Report(id=report_id, raw_text=raw_text, findings=findings,
-                  sentences=sentences, tokens=tokens)
+    sentences = split_sentences(extract_findings(raw_text))
+    return Report(id=report_id, sentences=sentences,
+                  tokens=[tokenize(s) for s in sentences])
 
 
 @dataclass
 class CorpusRecord:
-    """A report plus the optional evaluation fields that rode along."""
+    """One corpus row: its raw fields, as loaded."""
 
-    report: Report
+    id: str
+    text: str
     reference: str | None = None
     candidate: str | None = None
     gold_label: int | None = None
-
-    @property
-    def id(self) -> str:
-        return self.report.id
 
 
 _OPTIONAL_FIELDS = ("reference", "candidate", "label")
@@ -215,19 +216,26 @@ def _load_jsonl(path: Path) -> list[CorpusRecord]:
 def _load_csv(path: Path) -> list[CorpusRecord]:
     records = []
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             return []
-        missing = {"id", "text"} - set(reader.fieldnames)
+        missing = {"id", "text"} - set(header)
         if missing:
             raise CorpusError(
                 f"missing required column(s): {', '.join(sorted(missing))}",
                 line=1)
+        # A quoted cell may span lines: a record starts on the line after
+        # the previous row ended.  Blank lines hold no record.
+        start = reader.line_num + 1
         for row in reader:
-            # An empty cell is an absent optional field, but an empty text.
-            mapping = {k: v for k, v in row.items() if v is not None and (
-                k in ("id", "text") or k in _OPTIONAL_FIELDS and v != "")}
-            records.append(_record_from_mapping(mapping, reader.line_num, None))
+            if row:
+                # An empty cell is an absent optional field, but an empty text.
+                mapping = {k: v for k, v in zip(header, row)
+                           if k in ("id", "text")
+                           or k in _OPTIONAL_FIELDS and v != ""}
+                records.append(_record_from_mapping(mapping, start, None))
+            start = reader.line_num + 1
     return records
 
 
@@ -255,7 +263,8 @@ def _record_from_mapping(obj: dict, line_no: int,
             raise CorpusError(f"field {name!r} must be a string",
                               line=line_no, byte_offset=byte_offset)
     return CorpusRecord(
-        report=make_report(obj["id"], obj["text"]),
+        id=obj["id"],
+        text=obj["text"],
         reference=obj.get("reference"),
         candidate=obj.get("candidate"),
         gold_label=label,

@@ -161,22 +161,18 @@ def label_corpus(records: list[CorpusRecord], rules: RuleSet,
     """Label every record, returning per-record labels plus counts.
 
     ``text_source`` picks which field is labeled: the record text
-    (default), or the reference or candidate string, which is then
-    normalized exactly like report text.
+    (default), the reference or the candidate.  Each record's field is
+    normalized by :func:`make_report` as it is labeled.
     """
+    if text_source not in ("text", "reference", "candidate"):
+        raise ValueError(f"unknown text source {text_source!r}")
     labels = []
     for record in records:
-        if text_source == "text":
-            report = record.report
-        elif text_source in ("reference", "candidate"):
-            value = getattr(record, text_source)
-            if value is None:
-                raise CorpusError(
-                    f"record {record.id!r} has no {text_source} field")
-            report = make_report(record.id, value)
-        else:
-            raise ValueError(f"unknown text source {text_source!r}")
-        labels.append(label_report(report, rules))
+        value = getattr(record, text_source)
+        if value is None:
+            raise CorpusError(
+                f"record {record.id!r} has no {text_source} field")
+        labels.append(label_report(make_report(record.id, value), rules))
     positive = sum(label.value for label in labels)
     counts = LabelCounts(negative=len(labels) - positive,
                          positive=positive, total=len(labels))

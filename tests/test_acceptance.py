@@ -58,8 +58,9 @@ class TestAcceptance:
             assert [lab.value for lab in labels] == [1, 1, 0, 1]
             recovered = []
             for record, lab in zip(records, labels):
+                report = make_report(record.id, record.text)
                 for item in lab.evidence:
-                    tokens = record.report.tokens[item.mention.sentence_index]
+                    tokens = report.tokens[item.mention.sentence_index]
                     start, end = item.match_span
                     recovered.append((record.id, " ".join(tokens[start:end])))
             assert recovered == [

@@ -1,4 +1,4 @@
-"""Stratified score summaries, label counts, length stats, plot data."""
+"""Stratified score summaries, label counts, plot data."""
 
 import csv
 import json
@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radpriors.analysis import ScoreRow, emit_plot_data, length_stats, stratify
-from radpriors.corpus import load_corpus, make_report
+from radpriors.analysis import ScoreRow, emit_plot_data, stratify
+from radpriors.corpus import load_corpus
 from radpriors.labeler import label_corpus
 from radpriors.rules import default_rules
 
@@ -114,43 +114,6 @@ class TestCountLabels:
         records = load_corpus(FIXTURES / "golden4.jsonl")
         _, counts = label_corpus(records, default_rules())
         assert counts.to_dict() == {"negative": 1, "positive": 3, "total": 4}
-
-
-class TestLengthStats:
-    def _records(self, texts):
-        return [type("R", (), {"report": make_report(str(i), text),
-                               "id": str(i)})()
-                for i, text in enumerate(texts)]
-
-    def test_two_reports(self):
-        records = self._records([
-            "one two three four five",
-            "one two three four five six seven eight nine",
-        ])
-        stats = length_stats(records, [0, 1])
-        assert stats.negative_mean == 5.0
-        assert stats.positive_mean == 9.0
-
-    def test_equal_lengths_give_equal_means(self):
-        records = self._records(["alpha beta gamma", "delta epsilon zeta"])
-        stats = length_stats(records, [0, 1])
-        assert stats.negative_mean == stats.positive_mean
-
-    def test_positive_reports_longer_in_synthetic_fixture(self):
-        records = load_corpus(FIXTURES / "synthetic50.jsonl")
-        labels, _ = label_corpus(records, default_rules())
-        stats = length_stats(records, labels)
-        assert stats.positive_mean > stats.negative_mean
-        assert stats.positive_median > stats.negative_median
-
-    def test_length_mismatch_is_an_error(self):
-        with pytest.raises(ValueError):
-            length_stats(self._records(["a b"]), [0, 1])
-
-    def test_absent_label_reported_as_none(self):
-        stats = length_stats(self._records(["a b c"]), [0])
-        assert stats.positive_mean is None
-        assert stats.positive_median is None
 
 
 class TestEmitPlotData:

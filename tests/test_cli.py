@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, output determinism."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -107,6 +108,18 @@ class TestExitCodes:
         assert code == 2
         assert "t1" in capsys.readouterr().err
 
+    def test_analyze_zero_bins_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "analysis.json"
+        code = run(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
+                    "--out", str(out), "--bins", "0"])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "radpriors analyze: error: argument --bins: "
+            "must be a positive integer, got '0'"]
+
     def test_failed_run_leaves_no_output(self, tmp_path, capsys):
         bad = tmp_path / "dup.jsonl"
         bad.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n',
@@ -132,6 +145,27 @@ class TestEvalCommand:
         assert header == "id,bleu1,bleu2,bleu3,bleu4,rouge_l,cider,label"
         capsys.readouterr()
 
+    def test_csv_ids_read_back_as_json_ids(self, tmp_path, capsys):
+        corpus = tmp_path / "ids.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": id_, "text": "x", "reference": "a b c",
+                        "candidate": "a b"}) + "\n"
+            for id_ in ("a,b", 'q"x', "plain")), encoding="utf-8")
+        out = tmp_path / "metrics.json"
+        csv_out = tmp_path / "metrics.csv"
+        assert run(["eval", "--in", str(corpus), "--out", str(out),
+                    "--csv", str(csv_out)]) == 0
+        with open(csv_out, newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        per_report = json.loads(out.read_text(encoding="utf-8"))["per_report"]
+        assert [row["id"] for row in rows] == ["a,b", 'q"x', "plain"]
+        for row, want in zip(rows, per_report):
+            assert None not in row
+            assert float(row["rouge_l"]) == want["rouge_l"]
+        assert csv_out.read_text(encoding="utf-8").splitlines()[3] \
+            .startswith("plain,")
+        capsys.readouterr()
+
     def test_gold_labels_flag(self, tmp_path, capsys):
         out = tmp_path / "metrics.json"
         code = run(["eval", "--in", str(FIXTURES / "pipeline3.jsonl"),
@@ -153,6 +187,18 @@ class TestAnalyzeCommand:
         assert payload["counts"] == {"negative": 4, "positive": 2, "total": 6}
         assert payload["positive_mean_below_negative"] is True
         assert payload["stratified"]["negative"]["count"] == 4
+        capsys.readouterr()
+
+    def test_mean_token_length_is_the_candidates(self, tmp_path, capsys):
+        out = tmp_path / "analysis.json"
+        assert run(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
+                    "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert "length_stats" not in payload
+        # Candidates f2 and f3 (6 and 7 tokens) label 1; f1, f4, f5 and
+        # f6 (6, 5, 6 and 6 tokens) label 0.
+        assert payload["stratified"]["negative"]["mean_token_length"] == 23 / 4
+        assert payload["stratified"]["positive"]["mean_token_length"] == 13 / 2
         capsys.readouterr()
 
     def test_plot_data_files(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import string
 
 import pytest
 from hypothesis import given, strategies as st
@@ -95,11 +96,32 @@ class TestTokenize:
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
 
+    @pytest.mark.parametrize("chunk", [
+        "\u201cprior\u201d", "\u00abprior\u00bb", "prior\u2026",
+        "(\u2018prior.\u2019)"])
+    def test_unicode_punctuation_stripped(self, chunk):
+        assert tokenize(chunk) == ["prior"]
+
+    def test_unicode_punctuation_only_token_dropped(self):
+        assert tokenize("heart \u2014 \u201c\u2026\u201d normal") == \
+            ["heart", "normal"]
+
+    def test_inner_unicode_punctuation_kept(self):
+        assert tokenize("\u201cill-defined\u201d caf\u00e9\u2019s") == \
+            ["ill-defined", "caf\u00e9\u2019s"]
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=60))
+    def test_ascii_text_tokenizes_by_ascii_punctuation_alone(self, text):
+        want = [t for t in (c.strip(string.punctuation)
+                            for c in text.lower().split()) if t]
+        assert tokenize(text) == want
+
 
 class TestMakeReport:
     def test_findings_extracted_and_tokenized(self):
-        report = make_report("r1", "FINDINGS: Heart normal. IMPRESSION: OK.")
-        assert report.findings == "Heart normal."
+        raw = "FINDINGS: Heart normal. IMPRESSION: OK."
+        report = make_report("r1", raw)
+        assert extract_findings(raw) == "Heart normal."
         assert report.sentences == ["Heart normal."]
         assert report.tokens == [["heart", "normal"]]
 
@@ -177,6 +199,17 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="text"):
             load_corpus(path, format="csv")
 
+    @pytest.mark.parametrize("body, line", [
+        ('a,"ok",0\nb,"two\nlines",7\n', 3),  # the record ends on line 4
+        ('a,"ok",0\n\nb,ok,7\n', 4),  # a blank line holds no record
+    ])
+    def test_csv_error_names_the_line_the_record_starts_on(self, tmp_path,
+                                                           body, line):
+        path = tmp_path / "corpus.csv"
+        path.write_text("id,text,label\n" + body, encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"line {line}: field 'label'"):
+            load_corpus(path, format="csv")
+
     def test_csv_load(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text(
@@ -210,7 +243,7 @@ class TestLoadCorpus:
         paths = self._write_both(tmp_path)
         records = load_corpus(paths["jsonl"])
         assert records == load_corpus(paths["csv"], format="csv")
-        assert records[2].report.raw_text == ""
+        assert records[2].text == ""
         assert records[2].reference is None
 
     @pytest.mark.parametrize("format", ["jsonl", "csv"])

@@ -151,6 +151,11 @@ class TestLabelReport:
     def test_empty_report(self, rules):
         assert label_report(make_report("r", ""), rules).value == 0
 
+    @pytest.mark.parametrize("quotes", ['""', "\u201c\u201d", "\u00ab\u00bb"])
+    def test_quoted_prior_labels_alike(self, rules, quotes):
+        text = f"Stable compared to the {quotes[0]}prior{quotes[1]} exam."
+        assert label_report(make_report("r", text), rules).value == 1
+
     def test_value_iff_evidence(self, rules):
         for text in (ROW1, ROW2, ROW3, ROW4, ""):
             label = label_report(make_report("r", text), rules)
@@ -186,6 +191,13 @@ class TestLabelCorpus:
         records = load_corpus(FIXTURES / "golden4.jsonl")
         with pytest.raises(CorpusError, match="t1"):
             label_corpus(records, rules, text_source="candidate")
+
+    @pytest.mark.parametrize("source", ["id", "gold_label", "report"])
+    def test_unknown_text_source_rejected_before_labeling(self, rules, source):
+        records = load_corpus(FIXTURES / "golden4.jsonl")
+        for corpus in (records, []):
+            with pytest.raises(ValueError, match="unknown text source"):
+                label_corpus(corpus, rules, text_source=source)
 
 
 class TestLabelerProperties:
@@ -248,9 +260,10 @@ class TestLabelerProperties:
         prior_by_id = {t.rule_id: t for t in rules.prior_patterns}
         for fixture in ("golden4.jsonl", "synthetic50.jsonl"):
             for record in load_corpus(FIXTURES / fixture):
-                label = label_report(record.report, rules)
+                report = make_report(record.id, record.text)
+                label = label_report(report, rules)
                 for item in label.evidence:
-                    tokens = record.report.tokens[item.mention.sentence_index]
+                    tokens = report.tokens[item.mention.sentence_index]
                     start, end = item.mention.token_span
                     assert item.mention.keyword.matches(tokens[start])
                     template = prior_by_id[item.fired_rule]
@@ -259,14 +272,14 @@ class TestLabelerProperties:
 
     def test_concatenation_is_disjunction(self, rules):
         records = [r for r in load_corpus(FIXTURES / "synthetic50.jsonl")
-                   if "findings:" not in r.report.raw_text.lower()]
+                   if "findings:" not in r.text.lower()]
         pairs = [(records[i], records[-(i + 1)]) for i in range(12)]
         for left, right in pairs:
-            joined = make_report(
-                "r", left.report.raw_text + " " + right.report.raw_text)
+            joined = make_report("r", left.text + " " + right.text)
             combined = label_report(joined, rules).value
-            separate = max(label_report(left.report, rules).value,
-                           label_report(right.report, rules).value)
+            separate = max(
+                label_report(make_report("l", left.text), rules).value,
+                label_report(make_report("r", right.text), rules).value)
             assert combined == separate
 
 
@@ -327,8 +340,8 @@ class TestExtractMentionsEqualsReference:
     def test_same_mentions_and_same_keyword_objects(self, keywords, tokens):
         rules = RuleSet(keywords=keywords, negation_patterns=[],
                         prior_patterns=[], change_verbs=frozenset())
-        report = Report(id="r", raw_text="", findings="",
-                        sentences=[" ".join(s) for s in tokens], tokens=tokens)
+        report = Report(id="r", sentences=[" ".join(s) for s in tokens],
+                        tokens=tokens)
         want = reference_extract_mentions(report, rules)
         for _ in range(2):  # the second pass reads the memoized entries
             got = extract_mentions(report, rules)

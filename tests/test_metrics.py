@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from radpriors.corpus import CorpusRecord, load_corpus, make_report
+from radpriors.corpus import CorpusRecord, load_corpus
 from radpriors.metrics import (EvaluationError, bleu, cider, cosine,
                                evaluate_corpus, lcs_length, ngram_counts,
                                rouge_l)
@@ -157,7 +157,7 @@ class TestSharedPassMatchesReference:
     @example([(["a", "a", "a", "a"], ["a", "a"]), (["b", "b"], ["b"]),
               (["c", "d", "c", "d", "c"], ["d", "c", "d"])])
     def test_evaluate_corpus_equals_recount_reference(self, pairs):
-        records = [CorpusRecord(report=make_report(f"r{i}", "x"),
+        records = [CorpusRecord(id=f"r{i}", text="x",
                                 candidate=" ".join(candidate),
                                 reference=" ".join(reference))
                    for i, (candidate, reference) in enumerate(pairs)]
