@@ -15,21 +15,21 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import __version__
 from ._io import atomic_write_text
-from .analysis import ScoreRow, StratifiedSummary, emit_plot_data, stratify
 from .corpus import CorpusError, CorpusRecord, load_corpus, tokenize
-from .infusion import (InfusionError, ToyConfig, ToyModel, demo_image_pair,
-                       forward, grad_check)
 from .labeler import LabelCounts, PriorLabel, label_corpus
 from .metrics import EvaluationError, MetricReport, evaluate_corpus
 from .rules import RuleFileError, RuleSet, default_rules, load_rules
 
+if TYPE_CHECKING:
+    from .analysis import StratifiedSummary
+
 __all__ = ["run", "pipeline_label_then_eval", "PipelineResult"]
 
-_DATA_ERRORS = (CorpusError, RuleFileError, EvaluationError, InfusionError,
-                OSError)
+_DATA_ERRORS = (CorpusError, RuleFileError, EvaluationError, OSError)
 
 _METRIC_NAMES = ("bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "cider")
 
@@ -61,6 +61,7 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
     reference, and the summary groups scores by that label; each
     stratum's mean token length is that of its candidates.
     """
+    from .analysis import ScoreRow, stratify
     if metric not in _METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}")
     rules = rules or default_rules()
@@ -136,6 +137,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import emit_plot_data
     records = load_corpus(args.infile, format=args.format)
     rules = _load_ruleset(args.rules)
     result = pipeline_label_then_eval(records, rules, metric=args.metric,
@@ -164,11 +166,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_infuse_demo(args: argparse.Namespace) -> int:
+    from .infusion import (InfusionError, ToyConfig, ToyModel,
+                           demo_image_pair, forward, grad_check)
     config = ToyConfig(seed=args.seed)
     model = ToyModel(config)
     images = demo_image_pair(args.seed, size=config.image_size)
-    result = forward(model, images, prior=float(args.prior),
-                     max_len=args.max_len)
+    try:
+        result = forward(model, images, prior=float(args.prior),
+                         max_len=args.max_len)
+        report = (grad_check(model, images, prior=float(args.prior))
+                  if args.grad_check else None)
+    except InfusionError as exc:
+        return _data_error(exc)
     print(f"seed={args.seed} prior={args.prior} tokens={result.tokens}")
     if args.emit_latents:
         payload = {
@@ -180,21 +189,22 @@ def _cmd_infuse_demo(args: argparse.Namespace) -> int:
         }
         atomic_write_text(args.emit_latents,
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if args.grad_check:
-        report = grad_check(model, images, prior=float(args.prior))
+    if report is not None:
         print(f"grad-check max relative error: {report.max_rel_error:.3e}")
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """Argparse type: an integer of at least ``low``, called ``what``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -245,8 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--rules", help="rules file overriding the bundled set")
     analyze.add_argument("--metric", choices=_METRIC_NAMES, default="bleu4",
                          help="metric to stratify")
-    analyze.add_argument("--bins", type=_positive_int, default=20,
-                         help="histogram bin count")
+    analyze.add_argument("--bins", type=_int_at_least(1, "a positive integer"),
+                         default=20, help="histogram bin count")
     analyze.add_argument("--csv", help="also write per-report scores as CSV")
     analyze.add_argument("--plot-data",
                          help="write histogram CSV here (stats JSON beside it)")
@@ -254,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     demo = commands.add_parser(
         "infuse-demo", help="run the prior-infused toy decoder")
-    demo.add_argument("--seed", type=int, default=17)
+    demo.add_argument("--seed", default=17,
+                      type=_int_at_least(0, "a non-negative integer"))
     demo.add_argument("--prior", type=int, choices=(0, 1), default=1)
     demo.add_argument("--max-len", type=int, default=None)
     demo.add_argument("--emit-latents", help="write latent matrices as JSON")
@@ -262,6 +273,12 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="also compare analytic and numeric gradients")
     demo.set_defaults(func=_cmd_infuse_demo)
     return parser
+
+
+def _data_error(exc: Exception) -> int:
+    """Report a data error on stderr; returns its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -274,8 +291,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _data_error(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

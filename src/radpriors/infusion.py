@@ -216,7 +216,7 @@ def _encode(model: ToyModel, patches: np.ndarray,
     p = model.params
     d = model.config.embed_dim
     V = patches @ p["W_proj"]
-    V1 = V if prior is None else V + prior
+    V1 = V if prior is None else infuse(V, prior)
     V2 = V1 + model.enc_pos
     Q = V2 @ p["W_q"]
     K = V2 @ p["W_k"]
@@ -229,7 +229,7 @@ def _encode(model: ToyModel, patches: np.ndarray,
     F = np.tanh(U)
     H2 = H + F @ p["W_f2"] + p["b_f2"]
     L = H2 @ p["W_lat"]
-    Ln = L if prior is None else L + prior
+    Ln = L if prior is None else infuse(L, prior)
     if not np.isfinite(Ln).all():
         raise InfusionError("encoder produced non-finite latents")
     return {"patches": patches, "V2": V2, "Q": Q, "K": K, "Vv": Vv,
@@ -287,10 +287,14 @@ def forward(model: ToyModel, images: ImagePair, prior: float | None,
     """Full infused forward pass: images to greedy token sequence.
 
     ``prior=None`` is the no-infusion baseline: both infusion steps are
-    deleted, which is distinct from adding a zero prior.
+    deleted, which is distinct from adding a zero prior. ``max_len``
+    defaults to, and may not exceed, the model's ``config.max_len``.
     """
     value = None if prior is None else _check_prior(prior)
     max_len = model.config.max_len if max_len is None else max_len
+    if not 1 <= max_len <= model.config.max_len:
+        raise InfusionError(f"max_len must lie in 1..{model.config.max_len}, "
+                            f"got {max_len!r}")
     patches = _flatten_patches(images, model.config)
     state = _encode(model, patches, value)
     tokens = _greedy_decode(model, state["Ln"], max_len)

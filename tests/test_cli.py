@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import radpriors
 from radpriors import cli
 from radpriors.cli import pipeline_label_then_eval, run
 from radpriors.corpus import load_corpus
@@ -120,6 +124,22 @@ class TestExitCodes:
             "radpriors analyze: error: argument --bins: "
             "must be a positive integer, got '0'"]
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run(["infuse-demo", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "radpriors infuse-demo: error: argument --seed: "
+            "must be a non-negative integer, got '-1'"]
+
+    @pytest.mark.parametrize("max_len", ["0", "-3", "13"])
+    def test_max_len_outside_model_is_data_error(self, max_len, capsys):
+        assert run(["infuse-demo", "--max-len", max_len]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: max_len must lie in 1..12, got {max_len}\n"
+
     def test_failed_run_leaves_no_output(self, tmp_path, capsys):
         bad = tmp_path / "dup.jsonl"
         bad.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n',
@@ -129,6 +149,32 @@ class TestExitCodes:
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
         capsys.readouterr()
+
+
+_LABEL_AND_EVAL = """
+import sys
+from radpriors.cli import run
+fixtures, out = sys.argv[1:]
+codes = [run(["label", "--in", fixtures + "/golden4.jsonl",
+              "--out", out + "/labels.jsonl"]),
+         run(["eval", "--in", fixtures + "/eval3.jsonl",
+              "--out", out + "/metrics.json"])]
+assert codes == [0, 0], codes
+assert "numpy" not in sys.modules, "numpy was loaded"
+"""
+
+
+class TestImports:
+    def test_label_and_eval_do_not_load_numpy(self, tmp_path):
+        src = str(Path(radpriors.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", _LABEL_AND_EVAL, str(FIXTURES),
+             str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True)
+        assert completed.returncode == 0, completed.stderr
+        assert (tmp_path / "labels.jsonl").exists()
+        assert (tmp_path / "metrics.json").exists()
 
 
 class TestEvalCommand:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from radpriors import infusion
 from radpriors.infusion import (ImagePair, InfusionError, ToyConfig, ToyModel,
                                 demo_image_pair, forward, grad_check, infuse,
                                 teacher_forced_loss, visual_extract)
@@ -85,6 +86,23 @@ class TestInfuse:
             infuse(np.ones((2, 2)), float("nan"))
 
 
+    def test_encoder_infuses_through_infuse(self, model, images,
+                                            monkeypatch):
+        calls = []
+
+        def spy(tensor, prior):
+            calls.append(prior)
+            return infuse(tensor, prior)
+
+        monkeypatch.setattr(infusion, "infuse", spy)
+        forward(model, images, prior=1.0)
+        teacher_forced_loss(model, images, prior=0.5)
+        assert calls == [1.0, 1.0, 0.5, 0.5]
+        calls.clear()
+        forward(model, images, prior=None)
+        assert calls == []
+
+
 class TestForward:
     def test_deterministic(self, model, images):
         first = forward(model, images, prior=1.0)
@@ -111,6 +129,12 @@ class TestForward:
         for max_len in (1, 3, 12):
             result = forward(model, images, prior=1.0, max_len=max_len)
             assert 1 <= len(result.tokens) <= max_len
+
+    @pytest.mark.parametrize("max_len", [0, -3, 13])
+    def test_max_len_outside_model_rejected(self, model, images, max_len):
+        with pytest.raises(InfusionError,
+                           match=rf"max_len must lie in 1\.\.12, got {max_len}"):
+            forward(model, images, prior=1.0, max_len=max_len)
 
     def test_latent_shape(self, model, images):
         result = forward(model, images, prior=1.0)
