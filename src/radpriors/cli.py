@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from ._io import atomic_write_text
-from .corpus import CorpusError, CorpusRecord, load_corpus, tokenize
+from .corpus import CorpusError, CorpusRecord, load_corpus
 from .labeler import LabelCounts, PriorLabel, label_corpus
 from .metrics import EvaluationError, MetricReport, evaluate_corpus
 from .rules import RuleFileError, RuleSet, default_rules, load_rules
@@ -74,8 +74,8 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
     rows = [ScoreRow(id=row.id, score=_metric_value(row, metric),
                      label=row.label)
             for row in metrics.per_report]
-    token_lengths = {record.id: len(tokenize(record.candidate or ""))
-                     for record in records}
+    token_lengths = {row.id: row.candidate_length
+                     for row in metrics.per_report}
     value_range = (0.0, 10.0) if metric == "cider" else (0.0, 1.0)
     summary = stratify(rows, bins=bins, value_range=value_range,
                        token_lengths=token_lengths)

@@ -69,19 +69,25 @@ def bleu(candidates: list[list[str]], references: list[list[str]],
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:
-    """Length of the longest common subsequence of two token lists."""
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    for token_a in a:
-        current = [0]
-        for j, token_b in enumerate(b, start=1):
-            if token_a == token_b:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[len(b)]
+    """Length of the longest common subsequence of two token lists.
+
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): bit i of ``v`` stands
+    for position i of ``b``, and a zero bit marks a column where the DP
+    row steps up. Each token of ``a`` updates the whole row with a few
+    operations on Python ints, so the cost is O(|a| * ceil(|b| / w))
+    word operations for machine words of w bits.
+    """
+    masks: dict[str, int] = {}
+    for i, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | 1 << i
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        mask = masks.get(token)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: list[str], reference: list[str],
@@ -102,13 +108,17 @@ def rouge_l(candidate: list[str], reference: list[str],
 def cosine(u: dict, v: dict) -> float:
     """Cosine similarity of sparse vectors; 0 when either norm is 0.
 
-    Clamped to 1.0: the rounded norms can make parallel vectors read
+    Equal vectors score exactly 1.0: dividing by the rounded norms can
+    read 0.9999999999999998 for them. Other vectors are clamped to 1.0,
+    since the rounded norms can make parallel vectors read
     1.0000000000000002, which would lift CIDEr above its maximum of 10.
     """
     norm_u = math.sqrt(math.fsum(x * x for x in u.values()))
     norm_v = math.sqrt(math.fsum(x * x for x in v.values()))
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
+    if u == v:
+        return 1.0
     dot = math.fsum(u[gram] * v.get(gram, 0.0) for gram in u)
     return min(dot / (norm_u * norm_v), 1.0)
 
@@ -217,6 +227,8 @@ class ReportScores:
     rouge_l: float
     cider: float
     label: int | None = None
+    # Candidate token count, kept for analysis; not serialized.
+    candidate_length: int = 0
 
     def to_dict(self) -> dict:
         row: dict = {"id": self.id}
@@ -274,7 +286,8 @@ def evaluate_corpus(records: list[CorpusRecord]) -> MetricReport:
     scores = _score_pairs(candidates, references)
     per_report = [
         ReportScores(id=record.id, bleu=pair_bleu,
-                     rouge_l=rouge_l(candidate, reference), cider=pair_cider)
+                     rouge_l=rouge_l(candidate, reference), cider=pair_cider,
+                     candidate_length=len(candidate))
         for record, candidate, reference, pair_bleu, pair_cider in zip(
             records, candidates, references, scores.pair_bleu,
             scores.pair_cider)

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from radpriors.corpus import CorpusRecord, load_corpus
+from radpriors import metrics
+from radpriors.corpus import CorpusRecord, load_corpus, tokenize
 from radpriors.metrics import (EvaluationError, bleu, cider, cosine,
                                evaluate_corpus, lcs_length, ngram_counts,
                                rouge_l)
@@ -33,6 +34,22 @@ def brute_force_lcs(a, b):
             if all(token in it for token in sub):
                 return size
     return best
+
+
+def reference_lcs_length(a, b):
+    """LCS length by the textbook O(|a| * |b|) dynamic program."""
+    if not a or not b:
+        return 0
+    previous = [0] * (len(b) + 1)
+    for token_a in a:
+        current = [0]
+        for j, token_b in enumerate(b, start=1):
+            if token_a == token_b:
+                current.append(previous[j - 1] + 1)
+            else:
+                current.append(max(previous[j], current[j - 1]))
+        previous = current
+    return previous[len(b)]
 
 
 def oracle_cider_pair(candidate, reference, all_references):
@@ -146,6 +163,35 @@ def reference_cider(candidates, references):
 # A four-word vocabulary makes repeated n-grams common.
 PAIR_TOKENS = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=12)
 PAIRS = st.lists(st.tuples(PAIR_TOKENS, PAIR_TOKENS), min_size=1, max_size=6)
+
+
+def _lcs_side(vocab):
+    # Drawing the length first spreads sizes evenly up to 150, so the bit
+    # vectors often span two or three 64-bit words.
+    return st.integers(0, 150).flatmap(
+        lambda n: st.lists(st.sampled_from(vocab), min_size=n, max_size=n))
+
+
+# Vocabularies of one to four words, so matches repeat.
+LCS_PAIRS = st.integers(1, 4).flatmap(
+    lambda k: st.tuples(_lcs_side("abcd"[:k]), _lcs_side("abcd"[:k])))
+
+
+class TestLcsEqualsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(LCS_PAIRS)
+    @example(([], []))
+    @example(([], ["a"]))
+    @example((["a"], []))
+    @example((["a"], ["a"]))
+    @example((["a"], ["b"]))
+    @example((["a"] * 65, ["a"] * 64))
+    @example((list("ab" * 40), list("ba" * 70)))
+    @example((list("abcd" * 33), list("dcba" * 33)))
+    def test_bit_parallel_equals_dynamic_program(self, pair):
+        a, b = pair
+        assert lcs_length(a, b) == reference_lcs_length(a, b)
+        assert lcs_length(a, b) == lcs_length(b, a)
 
 
 class TestSharedPassMatchesReference:
@@ -267,9 +313,8 @@ class TestCider:
         doc_a = "the heart is quite normal".split()
         doc_b = "lungs remain entirely clear bilaterally".split()
         scores, mean = cider([doc_a, doc_b], [doc_a, doc_b])
-        assert scores == [pytest.approx(10.0, abs=1e-9),
-                          pytest.approx(10.0, abs=1e-9)]
-        assert mean == pytest.approx(10.0, abs=1e-9)
+        assert scores == [10.0, 10.0]
+        assert mean == 10.0
 
     def test_no_shared_ngrams_scores_zero(self):
         # Second pair only pads the reference corpus past one document.
@@ -286,6 +331,18 @@ class TestCider:
         docs = [["clear"], ["the", "heart", "the", "heart"]]
         scores, _ = cider(docs, docs)
         assert scores[1] == 10.0
+
+    def test_identical_pair_is_never_below_ten(self):
+        # Dividing by the rounded norms read 9.999999999999998 here.
+        report = ("Nonspecific small nodule soft tissues are unremarkable "
+                  "density projects over the left hilum. Minimal "
+                  "subsegmental atelectasis the enteric tube courses below "
+                  "the diaphragm. The costophrenic angles are sharp there is "
+                  "mild patchy opacity. Skin folds project over the right "
+                  "chest old healed rib fractures.")
+        docs = [tokenize(report), tokenize("there is mild patchy opacity")]
+        scores, _ = cider(docs, docs)
+        assert scores[0] == 10.0
 
     def test_single_document_corpus_is_zero_without_error(self):
         tokens = "the heart is normal".split()
@@ -318,6 +375,29 @@ class TestEvaluateCorpus:
         assert row.bleu == (1.0, 1.0, 1.0, 1.0)
         assert row.rouge_l == 1.0
         assert row.cider == 0.0  # single-document IDF guard
+
+    def test_rouge_l_calls_lcs_length_once_per_pair(self, monkeypatch):
+        # The benchmark counts LCS input size by wrapping this module
+        # global, so rouge_l must keep calling it.
+        calls = []
+        real = metrics.lcs_length
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(metrics, "lcs_length", counting)
+        records = load_corpus(FIXTURES / "eval3.jsonl")
+        evaluate_corpus(records)
+        assert calls == [(tokenize(record.candidate),
+                          tokenize(record.reference)) for record in records]
+
+    def test_candidate_length_is_kept_but_not_serialized(self):
+        records = load_corpus(FIXTURES / "eval3.jsonl")
+        report = evaluate_corpus(records)
+        assert [row.candidate_length for row in report.per_report] == [5, 6, 3]
+        assert all("candidate_length" not in row.to_dict()
+                   for row in report.per_report)
 
     def test_three_record_fixture_oracle_values(self):
         """Frozen hand-derived fractions for the bundled 3-record fixture."""
