@@ -8,15 +8,14 @@ so identical inputs give bitwise-identical summaries run to run.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from ._io import atomic_write_text
 
@@ -27,15 +26,16 @@ __all__ = [
     "StratifiedSummary",
     "stratify",
     "emit_plot_data",
+    "plot_stats_path",
 ]
 
 DEFAULT_BINS = 20
 
 
 class ScoreRow(NamedTuple):
-    id: str
     score: float
     label: int
+    length: int
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class StratumStats:
     min: float
     max: float
     histogram: Histogram
-    mean_token_length: float | None = None
+    mean_token_length: float
 
     def to_dict(self) -> dict:
         return {
@@ -88,54 +88,65 @@ class StratifiedSummary:
         }
 
 
-def _stratum(scores: list[float], bins: int, value_range: tuple[float, float],
-             lengths: list[int] | None) -> StratumStats:
+def _histogram(scores: list[float], bins: int,
+               value_range: tuple[float, float]) -> Histogram:
+    """Equal-width bins over ``value_range``, the last bin closed.
+
+    Edge ``i`` is ``low + i * step`` and the last edge is exactly
+    ``high``. Scores outside the range land in the edge bins so counts
+    always sum to the stratum size.
+    """
+    low, high = map(float, value_range)
+    step = (high - low) / bins
+    edges = [low + i * step for i in range(bins)] + [high]
+    counts = [0] * bins
+    for score in scores:
+        index = bisect.bisect_right(edges, score) - 1
+        counts[min(max(index, 0), bins - 1)] += 1
+    return Histogram(bin_edges=tuple(edges), counts=tuple(counts))
+
+
+def _stratum(rows: list[ScoreRow], bins: int,
+             value_range: tuple[float, float]) -> StratumStats:
+    scores = [row.score for row in rows]
     mean = math.fsum(scores) / len(scores)
     variance = math.fsum((x - mean) ** 2 for x in scores) / len(scores)
-    # Scores outside the histogram range land in the edge bins so counts
-    # always sum to the stratum size.
-    clipped = np.clip(np.asarray(scores, dtype=float),
-                      value_range[0], value_range[1])
-    counts, edges = np.histogram(clipped, bins=bins, range=value_range)
-    mean_length = None
-    if lengths:
-        mean_length = math.fsum(lengths) / len(lengths)
     return StratumStats(
         count=len(scores),
         mean=mean,
         std=math.sqrt(variance),
         min=min(scores),
         max=max(scores),
-        histogram=Histogram(bin_edges=tuple(float(e) for e in edges),
-                            counts=tuple(int(c) for c in counts)),
-        mean_token_length=mean_length,
+        histogram=_histogram(scores, bins, value_range),
+        mean_token_length=math.fsum(row.length for row in rows) / len(rows),
     )
 
 
 def stratify(rows: Sequence[ScoreRow], bins: int = DEFAULT_BINS,
-             value_range: tuple[float, float] = (0.0, 1.0),
-             token_lengths: Mapping[str, int] | None = None) -> StratifiedSummary:
-    """Summarize scores per label.
+             value_range: tuple[float, float] = (0.0, 1.0)) -> StratifiedSummary:
+    """Summarize scores, and the token lengths they were scored at, per label.
 
-    ``token_lengths`` optionally maps record id to a token count; when
-    given, each stratum reports its mean token length. A label with no
-    rows yields an absent stratum rather than NaN statistics.
+    A label with no rows yields an absent stratum rather than NaN
+    statistics.
     """
     if bins < 1:
         raise ValueError(f"bins must be positive, got {bins}")
+    low, high = value_range
+    if not (low < high and math.isfinite(high - low)):
+        raise ValueError(f"value_range must be finite and increasing, "
+                         f"got {value_range}")
     strata: dict[int, StratumStats | None] = {}
     for wanted in (0, 1):
-        scores = [row.score for row in rows if row.label == wanted]
-        if not scores:
-            strata[wanted] = None
-            continue
-        lengths = None
-        if token_lengths is not None:
-            lengths = [token_lengths[row.id] for row in rows
-                       if row.label == wanted and row.id in token_lengths]
-        strata[wanted] = _stratum(scores, bins, value_range, lengths)
+        stratum = [row for row in rows if row.label == wanted]
+        strata[wanted] = (_stratum(stratum, bins, value_range)
+                          if stratum else None)
     return StratifiedSummary(negative=strata[0], positive=strata[1],
                              bins=bins, value_range=value_range)
+
+
+def plot_stats_path(csv_path: str | Path) -> Path:
+    """Where ``emit_plot_data`` writes the stats JSON for ``csv_path``."""
+    return Path(csv_path).with_suffix(".json")
 
 
 def emit_plot_data(summary: StratifiedSummary, csv_path: str | Path) -> Path:
@@ -145,8 +156,7 @@ def emit_plot_data(summary: StratifiedSummary, csv_path: str | Path) -> Path:
     returned. Absent strata are omitted from the CSV and null in the
     JSON. Floats use their shortest exact decimal form.
     """
-    csv_path = Path(csv_path)
-    json_path = csv_path.with_suffix(".json")
+    json_path = plot_stats_path(csv_path)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["label", "bin_start", "bin_end", "count"])

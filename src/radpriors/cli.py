@@ -15,21 +15,26 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from pathlib import Path
 
 from . import __version__
 from ._io import atomic_write_text
+from .analysis import (ScoreRow, StratifiedSummary, emit_plot_data,
+                       plot_stats_path, stratify)
 from .corpus import CorpusError, CorpusRecord, load_corpus
 from .labeler import LabelCounts, PriorLabel, label_corpus
 from .metrics import EvaluationError, MetricReport, evaluate_corpus
 from .rules import RuleFileError, RuleSet, default_rules, load_rules
 
-if TYPE_CHECKING:
-    from .analysis import StratifiedSummary
-
 __all__ = ["run", "pipeline_label_then_eval", "PipelineResult"]
 
 _DATA_ERRORS = (CorpusError, RuleFileError, EvaluationError, OSError)
+
+# Options that name a file, with their argparse destinations.  No two of
+# one invocation may resolve to the same file.
+_FILE_OPTIONS = (("--in", "infile"), ("--out", "out"),
+                 ("--summary", "summary"), ("--csv", "csv"),
+                 ("--plot-data", "plot_data"))
 
 _METRIC_NAMES = ("bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "cider")
 
@@ -61,7 +66,6 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
     reference, and the summary groups scores by that label; each
     stratum's mean token length is that of its candidates.
     """
-    from .analysis import ScoreRow, stratify
     if metric not in _METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}")
     rules = rules or default_rules()
@@ -71,14 +75,11 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
         dataclasses.replace(row, label=label.value)
         for row, label in zip(metrics.per_report, labels)
     ]
-    rows = [ScoreRow(id=row.id, score=_metric_value(row, metric),
-                     label=row.label)
+    rows = [ScoreRow(score=_metric_value(row, metric), label=row.label,
+                     length=row.candidate_length)
             for row in metrics.per_report]
-    token_lengths = {row.id: row.candidate_length
-                     for row in metrics.per_report}
     value_range = (0.0, 10.0) if metric == "cider" else (0.0, 1.0)
-    summary = stratify(rows, bins=bins, value_range=value_range,
-                       token_lengths=token_lengths)
+    summary = stratify(rows, bins=bins, value_range=value_range)
     return PipelineResult(metrics=metrics, counts=counts, labels=labels,
                           summary=summary)
 
@@ -137,7 +138,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis import emit_plot_data
     records = load_corpus(args.infile, format=args.format)
     rules = _load_ruleset(args.rules)
     result = pipeline_label_then_eval(records, rules, metric=args.metric,
@@ -275,6 +275,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_clash(args: argparse.Namespace) -> str | None:
+    """Name two file options of ``args`` that resolve to one file, if any.
+
+    Writing both would keep only the last write, or replace the input.
+    """
+    files = [(option, getattr(args, dest, None))
+             for option, dest in _FILE_OPTIONS]
+    if getattr(args, "plot_data", None):
+        files.append(("the stats JSON of --plot-data",
+                      plot_stats_path(args.plot_data)))
+    seen: dict[Path, str] = {}
+    for option, path in files:
+        if not path:
+            continue
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            return f"{seen[resolved]} and {option} name the same file: {path}"
+        seen[resolved] = option
+    return None
+
+
 def _data_error(exc: Exception) -> int:
     """Report a data error on stderr; returns its exit code."""
     print(f"error: {exc}", file=sys.stderr)
@@ -286,6 +307,9 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        clash = _file_clash(args)
+        if clash:
+            parser.error(clash)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

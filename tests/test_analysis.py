@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radpriors.analysis import ScoreRow, emit_plot_data, stratify
 from radpriors.corpus import load_corpus
@@ -21,8 +22,32 @@ def rows_from(scores_by_label):
     rows = []
     for label, scores in scores_by_label.items():
         for i, score in enumerate(scores):
-            rows.append(ScoreRow(id=f"{label}-{i}", score=score, label=label))
+            rows.append(ScoreRow(score=score, label=label, length=i + 1))
     return rows
+
+
+def reference_histogram(scores, bins, value_range):
+    """The numpy histogram ``stratify`` once used: (edges, counts)."""
+    clipped = np.clip(np.asarray(scores, dtype=float),
+                      value_range[0], value_range[1])
+    counts, edges = np.histogram(clipped, bins=bins, range=value_range)
+    return tuple(float(e) for e in edges), tuple(int(c) for c in counts)
+
+
+@st.composite
+def histogram_inputs(draw):
+    """Bins, a range, and scores in and around it, on and beside edges."""
+    bins = draw(st.integers(1, 200))
+    low, high = draw(st.sampled_from([(0.0, 1.0), (0.0, 10.0)]))
+    edges, _ = reference_histogram([], bins, (low, high))
+    near_edges = [x for edge in edges
+                  for x in (math.nextafter(edge, -math.inf), edge,
+                            math.nextafter(edge, math.inf))]
+    scores = draw(st.lists(
+        st.one_of(st.floats(low - 1.0, high + 1.0),
+                  st.sampled_from(near_edges)),
+        min_size=1, max_size=60))
+    return scores, bins, (low, high)
 
 
 class TestStratify:
@@ -90,15 +115,34 @@ class TestStratify:
         assert merged == pytest.approx(overall, abs=1e-12)
 
     def test_mean_token_length_per_stratum(self):
-        rows = rows_from({0: [0.2], 1: [0.9, 0.8]})
-        lengths = {"0-0": 4, "1-0": 10, "1-1": 6}
-        summary = stratify(rows, token_lengths=lengths)
+        rows = [ScoreRow(score=0.2, label=0, length=4),
+                ScoreRow(score=0.9, label=1, length=10),
+                ScoreRow(score=0.8, label=1, length=6)]
+        summary = stratify(rows)
         assert summary.negative.mean_token_length == 4.0
         assert summary.positive.mean_token_length == 8.0
 
     def test_invalid_bins(self):
         with pytest.raises(ValueError):
             stratify(rows_from({0: [0.5]}), bins=0)
+
+    @pytest.mark.parametrize("value_range", [
+        (1.0, 0.0), (0.5, 0.5), (0.0, math.inf), (math.nan, 1.0)])
+    def test_invalid_value_range(self, value_range):
+        with pytest.raises(ValueError, match="value_range"):
+            stratify(rows_from({0: [0.5]}), value_range=value_range)
+
+    @settings(max_examples=300, deadline=None)
+    @given(histogram_inputs())
+    def test_histogram_equals_reference(self, case):
+        scores, bins, value_range = case
+        summary = stratify(rows_from({0: scores}), bins=bins,
+                           value_range=value_range)
+        edges, counts = reference_histogram(scores, bins, value_range)
+        assert summary.negative.histogram.bin_edges == edges
+        assert all(type(edge) is float
+                   for edge in summary.negative.histogram.bin_edges)
+        assert summary.negative.histogram.counts == counts
 
     def test_custom_value_range(self):
         summary = stratify(rows_from({0: [2.0, 9.0]}), bins=10,

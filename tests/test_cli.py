@@ -140,6 +140,22 @@ class TestExitCodes:
         assert captured.err == \
             f"error: max_len must lie in 1..12, got {max_len}\n"
 
+    @pytest.mark.parametrize("argv, named", [
+        (["analyze", "--out", "analysis.json", "--plot-data", "analysis.csv"],
+         "--out and the stats JSON of --plot-data"),
+        (["eval", "--out", "m.json", "--csv", "./m.json"], "--out and --csv"),
+        (["label", "--out", "corpus.jsonl"], "--in and --out"),
+    ], ids=["analyze", "eval", "label"])
+    def test_colliding_paths_are_usage_errors(self, argv, named, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        corpus = (FIXTURES / "pipeline6.jsonl").read_bytes()
+        (tmp_path / "corpus.jsonl").write_bytes(corpus)
+        assert run([*argv, "--in", "corpus.jsonl"]) == 1
+        assert f"error: {named} name the same file" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["corpus.jsonl"]
+        assert (tmp_path / "corpus.jsonl").read_bytes() == corpus
+
     def test_failed_run_leaves_no_output(self, tmp_path, capsys):
         bad = tmp_path / "dup.jsonl"
         bad.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n',
@@ -151,30 +167,34 @@ class TestExitCodes:
         capsys.readouterr()
 
 
-_LABEL_AND_EVAL = """
+_LABEL_EVAL_ANALYZE = """
 import sys
 from radpriors.cli import run
 fixtures, out = sys.argv[1:]
 codes = [run(["label", "--in", fixtures + "/golden4.jsonl",
               "--out", out + "/labels.jsonl"]),
          run(["eval", "--in", fixtures + "/eval3.jsonl",
-              "--out", out + "/metrics.json"])]
-assert codes == [0, 0], codes
+              "--out", out + "/metrics.json"]),
+         run(["analyze", "--in", fixtures + "/pipeline6.jsonl",
+              "--out", out + "/analysis.json", "--csv", out + "/scores.csv",
+              "--plot-data", out + "/plot.csv"])]
+assert codes == [0, 0, 0], codes
 assert "numpy" not in sys.modules, "numpy was loaded"
 """
 
 
 class TestImports:
-    def test_label_and_eval_do_not_load_numpy(self, tmp_path):
+    def test_only_infuse_demo_loads_numpy(self, tmp_path):
         src = str(Path(radpriors.__file__).resolve().parents[1])
         completed = subprocess.run(
-            [sys.executable, "-c", _LABEL_AND_EVAL, str(FIXTURES),
+            [sys.executable, "-c", _LABEL_EVAL_ANALYZE, str(FIXTURES),
              str(tmp_path)],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True)
         assert completed.returncode == 0, completed.stderr
-        assert (tmp_path / "labels.jsonl").exists()
-        assert (tmp_path / "metrics.json").exists()
+        for name in ("labels.jsonl", "metrics.json", "analysis.json",
+                     "scores.csv", "plot.csv", "plot.json"):
+            assert (tmp_path / name).exists(), name
 
 
 class TestEvalCommand:
@@ -267,13 +287,15 @@ class TestAnalyzeCommand:
     def test_byte_identical_reruns(self, tmp_path, capsys):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
+        def plot(out):
+            return out.with_name(out.stem + "-plot.csv")
         for out in (first, second):
-            run(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
-                 "--out", str(out), "--plot-data",
-                 str(out.with_suffix(".csv"))])
+            assert run(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
+                        "--out", str(out), "--plot-data", str(plot(out))]) == 0
         assert first.read_bytes() == second.read_bytes()
-        assert first.with_suffix(".csv").read_bytes() == \
-            second.with_suffix(".csv").read_bytes()
+        assert plot(first).read_bytes() == plot(second).read_bytes()
+        assert plot(first).with_suffix(".json").read_bytes() == \
+            plot(second).with_suffix(".json").read_bytes()
         capsys.readouterr()
 
 

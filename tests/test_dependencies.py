@@ -1,0 +1,32 @@
+"""Static audit of the package's imports: standard library and numpy only."""
+
+import ast
+import sys
+from pathlib import Path
+
+import radpriors
+
+PACKAGE = Path(radpriors.__file__).resolve().parent
+
+
+def imported_modules(path):
+    """Top-level names of the absolute imports in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_imports_are_stdlib_or_numpy_in_infusion():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        allowed = {"numpy"} if path.name == "infusion.py" else set()
+        for module in imported_modules(path):
+            if module not in sys.stdlib_module_names and module not in allowed:
+                outside.append(f"{path.name}: {module}")
+    assert outside == []
