@@ -207,6 +207,16 @@ def _int_at_least(low: int, what: str):
     return parse
 
 
+def _plot_data_path(text: str) -> str:
+    """Argparse type: a path whose stats JSON can sit beside it."""
+    try:
+        plot_stats_path(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must name a file, got {text!r}") from None
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radpriors",
@@ -258,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--bins", type=_int_at_least(1, "a positive integer"),
                          default=20, help="histogram bin count")
     analyze.add_argument("--csv", help="also write per-report scores as CSV")
-    analyze.add_argument("--plot-data",
+    analyze.add_argument("--plot-data", type=_plot_data_path,
                          help="write histogram CSV here (stats JSON beside it)")
     analyze.set_defaults(func=_cmd_analyze)
 

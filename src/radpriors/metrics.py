@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from typing import NamedTuple
 
 from .corpus import CorpusRecord, tokenize
@@ -43,9 +45,16 @@ class EvaluationError(ValueError):
     """Records cannot be scored (missing fields, empty input)."""
 
 
+def _ngrams(tokens: list[str], n: int):
+    # Zipping n shifted copies yields each window as a tuple, in order.
+    return zip(*[tokens[i:] for i in range(n)])
+
+
 def ngram_counts(tokens: list[str], n: int) -> Counter:
-    """Count the n-grams of a token list as a multiset."""
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    """Count the n-grams (n >= 1) of a token list as a multiset."""
+    if n < 1:
+        raise EvaluationError(f"n-gram order must be at least 1, got {n}")
+    return Counter(_ngrams(tokens, n))
 
 
 def _brevity_penalty(candidate_length: int, reference_length: int) -> float:
@@ -113,13 +122,24 @@ def cosine(u: dict, v: dict) -> float:
     since the rounded norms can make parallel vectors read
     1.0000000000000002, which would lift CIDEr above its maximum of 10.
     """
-    norm_u = math.sqrt(math.fsum(x * x for x in u.values()))
-    norm_v = math.sqrt(math.fsum(x * x for x in v.values()))
+    return _cosine(list(u.values()), list(map(v.get, u, repeat(0.0))),
+                   list(v.values()), u.keys() == v.keys())
+
+
+def _cosine(u: list[float], v_at_u: list[float], v: list[float],
+            same_keys: bool) -> float:
+    """:func:`cosine` of vectors given as value lists.
+
+    ``v_at_u`` holds v's value at each of u's keys (0.0 where v has
+    none); ``same_keys`` says whether u and v have one key set.
+    """
+    norm_u = math.sqrt(math.fsum(map(mul, u, u)))
+    norm_v = math.sqrt(math.fsum(map(mul, v, v)))
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
-    if u == v:
+    if same_keys and u == v_at_u:
         return 1.0
-    dot = math.fsum(u[gram] * v.get(gram, 0.0) for gram in u)
+    dot = math.fsum(map(mul, u, v_at_u))
     return min(dot / (norm_u * norm_v), 1.0)
 
 
@@ -128,16 +148,10 @@ def _reference_idf(references: list[list[str]], n: int) -> dict:
     total = len(references)
     document_frequency: Counter = Counter()
     for reference in references:
-        document_frequency.update(set(ngram_counts(reference, n)))
+        document_frequency.update(set(_ngrams(reference, n)))
     log_total = math.log(total)
     return {gram: log_total - math.log(df)
             for gram, df in document_frequency.items()}
-
-
-def _tfidf(counts: Counter, idf: dict, log_total: float) -> dict:
-    # Grams absent from every reference get the df=1 fallback weight.
-    return {gram: count * idf.get(gram, log_total)
-            for gram, count in counts.items()}
 
 
 class _PassScores(NamedTuple):
@@ -180,7 +194,9 @@ def _score_pairs(candidates: list[list[str]],
         for n, idf in enumerate(idf_by_order, start=1):
             cand = ngram_counts(candidate, n)
             ref = ngram_counts(reference, n)
-            m = sum(min(count, ref[gram]) for gram, count in cand.items())
+            # The reference's count at each candidate gram, 0 if absent.
+            ref_at_cand = list(map(ref.get, cand, repeat(0)))
+            m = sum(map(min, cand.values(), ref_at_cand))
             p = max(c - n + 1, 0)
             matched[n - 1] += m
             possible[n - 1] += p
@@ -189,8 +205,15 @@ def _score_pairs(candidates: list[list[str]],
                 smoothed.append(penalty * math.exp(log_sum / n))
             else:
                 smoothed.append(0.0)
-            similarities.append(cosine(_tfidf(cand, idf, log_total),
-                                       _tfidf(ref, idf, log_total)))
+            # TF-IDF weights; grams absent from every reference get the
+            # df=1 fallback weight log(N).
+            idf_at_cand = list(map(idf.get, cand, repeat(log_total)))
+            similarities.append(_cosine(
+                list(map(mul, cand.values(), idf_at_cand)),
+                list(map(mul, ref_at_cand, idf_at_cand)),
+                list(map(mul, ref.values(),
+                         map(idf.get, ref, repeat(log_total)))),
+                cand.keys() == ref.keys()))
         pair_bleu.append(tuple(smoothed))
         pair_cider.append(CIDER_SCALE * math.fsum(similarities) / MAX_ORDER)
 

@@ -124,6 +124,20 @@ class TestExitCodes:
             "radpriors analyze: error: argument --bins: "
             "must be a positive integer, got '0'"]
 
+    @pytest.mark.parametrize("plot_data", [".", "/"])
+    def test_plot_data_without_file_name_is_usage_error(self, plot_data,
+                                                        tmp_path, capsys):
+        out = tmp_path / "analysis.json"
+        code = run(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
+                    "--out", str(out), "--plot-data", plot_data])
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "radpriors analyze: error: argument --plot-data: "
+            f"must name a file, got {plot_data!r}"]
+
     def test_negative_seed_is_usage_error(self, capsys):
         assert run(["infuse-demo", "--seed", "-1"]) == 1
         err = capsys.readouterr().err

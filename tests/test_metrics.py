@@ -52,21 +52,37 @@ def reference_lcs_length(a, b):
     return previous[len(b)]
 
 
+# Reference n-gram counter and cosine: the slice-per-gram and
+# generator-based code that the scoring pass ran before it worked on
+# zipped grams and value lists. The references below use only these, so
+# the differential tests never run the code they check.
+
+def reference_ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def reference_cosine(u, v):
+    norm_u = math.sqrt(math.fsum(x * x for x in u.values()))
+    norm_v = math.sqrt(math.fsum(x * x for x in v.values()))
+    if norm_u == 0.0 or norm_v == 0.0:
+        return 0.0
+    if u == v:
+        return 1.0
+    dot = math.fsum(u[gram] * v.get(gram, 0.0) for gram in u)
+    return min(dot / (norm_u * norm_v), 1.0)
+
+
 def oracle_cider_pair(candidate, reference, all_references):
     """TF-IDF n-gram cosine, straight from the metric's definition."""
     total_docs = len(all_references)
     sims = []
     for n in range(1, 5):
-        def grams(tokens):
-            return Counter(tuple(tokens[i:i + n])
-                           for i in range(len(tokens) - n + 1))
-
         doc_freq = Counter()
         for ref in all_references:
-            doc_freq.update(set(grams(ref)))
+            doc_freq.update(set(reference_ngram_counts(ref, n)))
 
         def tfidf(tokens):
-            counts = grams(tokens)
+            counts = reference_ngram_counts(tokens, n)
             length = sum(counts.values())
             vec = {}
             for gram, count in counts.items():
@@ -90,8 +106,8 @@ def reference_clipped_matches(candidate, reference, n):
     possible = max(len(candidate) - n + 1, 0)
     if possible == 0:
         return 0, 0
-    cand = ngram_counts(candidate, n)
-    ref = ngram_counts(reference, n)
+    cand = reference_ngram_counts(candidate, n)
+    ref = reference_ngram_counts(reference, n)
     matched = sum(min(count, ref[gram]) for gram, count in cand.items())
     return matched, possible
 
@@ -143,18 +159,20 @@ def reference_cider(candidates, references):
     for n in range(1, 5):
         document_frequency = Counter()
         for reference in references:
-            document_frequency.update(set(ngram_counts(reference, n)))
+            document_frequency.update(
+                set(reference_ngram_counts(reference, n)))
         idf_by_order.append({gram: log_total - math.log(df)
                              for gram, df in document_frequency.items()})
 
     def tfidf(tokens, n):
         idf = idf_by_order[n - 1]
         return {gram: count * idf.get(gram, log_total)
-                for gram, count in ngram_counts(tokens, n).items()}
+                for gram, count in reference_ngram_counts(tokens, n).items()}
 
     scores = []
     for candidate, reference in zip(candidates, references):
-        per_order = [cosine(tfidf(candidate, n), tfidf(reference, n))
+        per_order = [reference_cosine(tfidf(candidate, n),
+                                      tfidf(reference, n))
                      for n in range(1, 5)]
         scores.append(10.0 * math.fsum(per_order) / 4)
     return scores, math.fsum(scores) / len(scores)
@@ -202,6 +220,12 @@ class TestSharedPassMatchesReference:
     @example([(["a", "b", "a", "b"], ["a", "b", "a", "b", "a"])])
     @example([(["a", "a", "a", "a"], ["a", "a"]), (["b", "b"], ["b"]),
               (["c", "d", "c", "d", "c"], ["d", "c", "d"])])
+    @example([([], []), ([], ["a"])])
+    # One pair: IDF is log(1) - log(1) = 0 for every gram.
+    @example([(["a", "b", "a"], ["a", "b", "c"])])
+    # "a" is in every reference, so its weight is 0 on both sides and the
+    # first pair's unigram vectors are equal although the counts differ.
+    @example([(["a", "a", "b"], ["a", "b"]), (["c"], ["a", "c"])])
     def test_evaluate_corpus_equals_recount_reference(self, pairs):
         records = [CorpusRecord(id=f"r{i}", text="x",
                                 candidate=" ".join(candidate),
@@ -220,6 +244,45 @@ class TestSharedPassMatchesReference:
         assert report.corpus.bleu == tuple(
             reference_bleu(candidates, references, n) for n in range(1, 5))
         assert report.corpus.cider == want_mean
+
+
+# Finite floats from subnormal to large, so squares and dot products
+# neither overflow nor turn NaN; four keys make shared keys common.
+VECTOR_VALUES = st.floats(min_value=-1e100, max_value=1e100)
+VECTORS = st.dictionaries(st.sampled_from("abcd"), VECTOR_VALUES, max_size=4)
+
+
+class TestCosineEqualsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(VECTORS, VECTORS)
+    @example({}, {})
+    @example({"a": 1.0}, {})
+    @example({"a": 1.0, "b": -2.0}, {"a": 1.0, "b": -2.0})
+    @example({"a": 0.0, "b": 1.0}, {"b": 1.0, "c": 0.0})
+    @example({"a": 1.0, "b": 2.0}, {"c": 3.0, "d": 4.0})
+    @example({"a": -1.0, "b": 2.0}, {"a": 3.0, "c": 4.0})
+    @example({"a": 0.0}, {"a": -0.0})
+    def test_cosine_equals_reference(self, u, v):
+        assert cosine(u, v) == reference_cosine(u, v)
+        assert cosine(u, dict(u)) == reference_cosine(u, dict(u))
+
+
+class TestNgramCountsEqualsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from("abc"), max_size=12), st.integers(1, 5))
+    @example([], 1)
+    @example(["a"], 2)
+    @example(["a", "b", "c", "a"], 5)
+    def test_zipped_grams_equal_sliced_grams(self, tokens, n):
+        got = ngram_counts(tokens, n)
+        want = reference_ngram_counts(tokens, n)
+        assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_is_an_error(self, n):
+        with pytest.raises(EvaluationError,
+                           match=f"n-gram order must be at least 1, got {n}"):
+            ngram_counts(["a", "b", "c"], n)
 
 
 class TestBleu:
@@ -391,6 +454,26 @@ class TestEvaluateCorpus:
         evaluate_corpus(records)
         assert calls == [(tokenize(record.candidate),
                           tokenize(record.reference)) for record in records]
+
+    def test_pass_counts_each_side_once_per_order(self, monkeypatch):
+        # The benchmark's metrics.ngram_counts_calls_per_pair wraps this
+        # module global: 2 sides x 4 orders per pair, with document
+        # frequency taken from gram sets that bypass it.
+        calls = []
+        real = metrics.ngram_counts
+
+        def counting(tokens, n):
+            calls.append((tokens, n))
+            return real(tokens, n)
+
+        monkeypatch.setattr(metrics, "ngram_counts", counting)
+        records = load_corpus(FIXTURES / "eval3.jsonl")
+        evaluate_corpus(records)
+        assert calls == [
+            (tokens, n) for record in records for n in range(1, 5)
+            for tokens in (tokenize(record.candidate),
+                           tokenize(record.reference))]
+        assert len(calls) == 2 * 4 * len(records)
 
     def test_candidate_length_is_kept_but_not_serialized(self):
         records = load_corpus(FIXTURES / "eval3.jsonl")
