@@ -4,13 +4,15 @@ Reports arrive as JSONL or CSV records with an ``id`` and a free-text
 ``text`` field, plus optional ``reference``, ``candidate``, and ``label``
 columns. A :class:`CorpusRecord` holds these raw fields as loaded; a field
 is normalized into a :class:`Report` (findings, sentences, tokens) only
-when it is labeled, by :func:`make_report`.
+when it is labeled: :func:`make_report` runs the whole chain, and
+:func:`report_from_findings` its sentence and token steps alone.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 import string
 import unicodedata
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ __all__ = [
     "extract_findings",
     "split_sentences",
     "tokenize",
+    "report_from_findings",
     "make_report",
     "load_corpus",
 ]
@@ -49,6 +52,10 @@ _STOP_HEADERS = ("impression:", "recommendation:")
 # Sentence-final periods are suppressed after these lowercase words.
 _ABBREVIATIONS = {"dr", "mr", "mrs", "ms", "vs", "a.m", "p.m", "e.g", "i.e"}
 
+# A sentence may end at a terminator followed by whitespace or the end of
+# the text; ``\s`` and ``str.isspace`` accept the same characters.
+_BOUNDARY = re.compile(r"[.!?](?=\s|\Z)")
+
 _STRIP_CHARS = string.punctuation
 
 
@@ -58,19 +65,34 @@ def extract_findings(raw_text: str) -> str:
     The section starts after a case-insensitive ``FINDINGS:`` header and
     runs until the next ``IMPRESSION:`` or ``RECOMMENDATION:`` header or
     the end of the text. Reports without a findings header are returned
-    unchanged, so bare-text corpora pass through.
+    unchanged, so bare-text corpora pass through. Headers are found in
+    the lowercased text, and the section is cut from the text as given.
     """
     lowered = raw_text.lower()
     start = lowered.find(_FINDINGS_HEADER)
     if start < 0:
         return raw_text
     body_start = start + len(_FINDINGS_HEADER)
-    body_end = len(raw_text)
+    body_end = len(lowered)
     for header in _STOP_HEADERS:
         pos = lowered.find(header, body_start)
         if 0 <= pos < body_end:
             body_end = pos
+    if len(lowered) != len(raw_text):
+        body_start = _raw_offset(raw_text, body_start)
+        body_end = _raw_offset(raw_text, body_end)
     return raw_text[body_start:body_end].strip()
+
+
+def _raw_offset(raw_text: str, lowered_offset: int) -> int:
+    # Where ``raw_text.lower()[lowered_offset:]`` starts in ``raw_text``; a
+    # character may lowercase to more than one ("İ" to "i" and a dot).
+    lowered_end = 0
+    for index, ch in enumerate(raw_text):
+        if lowered_end >= lowered_offset:
+            return index
+        lowered_end += len(ch.lower())
+    return len(raw_text)
 
 
 def split_sentences(text: str) -> list[str]:
@@ -82,13 +104,9 @@ def split_sentences(text: str) -> list[str]:
     """
     sentences: list[str] = []
     start = 0
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch not in ".!?":
-            continue
-        if i + 1 < n and not text[i + 1].isspace():
-            continue
-        if ch == "." and _guarded_period(text, i):
+    for boundary in _BOUNDARY.finditer(text):
+        i = boundary.start()
+        if text[i] == "." and _guarded_period(text, i):
             continue
         sentence = text[start:i + 1].strip()
         if sentence:
@@ -142,11 +160,16 @@ class Report:
     tokens: list[list[str]]
 
 
-def make_report(report_id: str, raw_text: str) -> Report:
-    """Build a :class:`Report` by the fixed findings/sentence/token chain."""
-    sentences = split_sentences(extract_findings(raw_text))
+def report_from_findings(report_id: str, findings: str) -> Report:
+    """Split an extracted findings section into sentences and tokens."""
+    sentences = split_sentences(findings)
     return Report(id=report_id, sentences=sentences,
                   tokens=[tokenize(s) for s in sentences])
+
+
+def make_report(report_id: str, raw_text: str) -> Report:
+    """Build a :class:`Report` by the fixed findings/sentence/token chain."""
+    return report_from_findings(report_id, extract_findings(raw_text))
 
 
 @dataclass

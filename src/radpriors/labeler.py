@@ -1,6 +1,7 @@
 """Rule-based detection of comparison-prior expressions in reports.
 
-The labeler runs three stages over a normalized report:
+The labeler runs three stages over a normalized report (a findings
+section split into sentences and tokens):
 
 1. mention extraction: find every keyword occurrence, sentence by
    sentence;
@@ -11,6 +12,8 @@ The labeler runs three stages over a normalized report:
 
 Classification is local to a sentence and independent across mentions,
 so reports can be labeled with any order-preserving parallel map.
+:func:`label_corpus` labels a findings section that holds no keyword
+surface 0 without normalizing it, since no token of it can be a mention.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .corpus import CorpusError, CorpusRecord, Report, make_report
+from .corpus import (CorpusError, CorpusRecord, Report, extract_findings,
+                     report_from_findings)
+from .corpus import make_report  # noqa: F401  builds label_report's input
 from .rules import KeywordEntry, RuleSet
 
 __all__ = [
@@ -82,6 +87,10 @@ class LabelCounts:
     def to_dict(self) -> dict[str, int]:
         return {"negative": self.negative, "positive": self.positive,
                 "total": self.total}
+
+
+# The label of every report without a mention; frozen, so it is shared.
+_NO_MENTIONS = PriorLabel(value=0, evidence=())
 
 
 def extract_mentions(report: Report, rules: RuleSet) -> list[Mention]:
@@ -161,8 +170,12 @@ def label_corpus(records: list[CorpusRecord], rules: RuleSet,
     """Label every record, returning per-record labels plus counts.
 
     ``text_source`` picks which field is labeled: the record text
-    (default), the reference or the candidate.  Each record's field is
-    normalized by :func:`make_report` as it is labeled.
+    (default), the reference or the candidate.  Each record's findings
+    section is extracted once. When its lowercase holds no keyword
+    surface (:meth:`RuleSet.may_mention`) the record labels 0 without
+    being split or tokenized; otherwise it is normalized by
+    :func:`report_from_findings` and labeled by :func:`label_report`.
+    Either way the label equals ``label_report(make_report(...))``.
     """
     if text_source not in ("text", "reference", "candidate"):
         raise ValueError(f"unknown text source {text_source!r}")
@@ -172,7 +185,12 @@ def label_corpus(records: list[CorpusRecord], rules: RuleSet,
         if value is None:
             raise CorpusError(
                 f"record {record.id!r} has no {text_source} field")
-        labels.append(label_report(make_report(record.id, value), rules))
+        findings = extract_findings(value)
+        if rules.may_mention(findings):
+            labels.append(label_report(
+                report_from_findings(record.id, findings), rules))
+        else:
+            labels.append(_NO_MENTIONS)
     positive = sum(label.value for label in labels)
     counts = LabelCounts(negative=len(labels) - positive,
                          positive=positive, total=len(labels))

@@ -191,6 +191,7 @@ class RuleSet:
     # Built from ``keywords`` once; the rule set is not edited after use.
     _by_precedence: list[KeywordEntry] = field(
         init=False, repr=False, compare=False)
+    _surfaces: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _keyword_memo: dict[str, KeywordEntry | None] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
@@ -198,6 +199,17 @@ class RuleSet:
         # A stable sort, so surfaces of equal length keep file order.
         self._by_precedence = sorted(self.keywords,
                                      key=lambda entry: -len(entry.surface))
+        self._surfaces = tuple(entry.surface for entry in self.keywords)
+
+    def may_mention(self, text: str) -> bool:
+        """False when no token of ``text``'s sentences can be a mention.
+
+        A mention's token equals or starts with its keyword's surface, and
+        every token is a substring of the lowercased text: sentences end
+        before whitespace, so even a final sigma lowercases alike in both.
+        A text whose lowercase holds no surface therefore has no mention.
+        """
+        return any(map(text.lower().__contains__, self._surfaces))
 
     def keyword_for(self, token: str) -> KeywordEntry | None:
         """The keyword entry a token is a mention of, or None.

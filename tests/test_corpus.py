@@ -2,11 +2,14 @@
 
 import csv
 import json
+import re
 import string
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from oracles import reference_split_sentences
 from radpriors.corpus import (CorpusError, extract_findings, load_corpus,
                               make_report, split_sentences, tokenize)
 
@@ -36,6 +39,29 @@ class TestExtractFindings:
     def test_findings_is_substring_of_raw_text(self):
         raw = "Preamble. FINDINGS: Heart normal. IMPRESSION: OK."
         assert extract_findings(raw) in raw
+
+    # "İ" lowercases to two characters, "i" and a combining dot, so the
+    # header offsets found in the lowercase are not offsets in the text.
+    def test_dotted_capital_i_before_header(self):
+        raw = "İİİ FINDINGS: Stable compared to prior exam. IMPRESSION: none."
+        assert extract_findings(raw) == "Stable compared to prior exam."
+
+    def test_dotted_capital_i_inside_section(self):
+        raw = "FINDINGS: İİ stable. IMPRESSION: İ none."
+        assert extract_findings(raw) == "İİ stable."
+
+    def test_dotted_capital_i_before_a_stop_header_at_the_end(self):
+        raw = "İİİİ findings: clear. impression:"
+        assert extract_findings(raw) == "clear."
+
+    @given(st.lists(st.sampled_from(
+        ["İ", "FINDINGS:", "findings:", "IMPRESSION:", "recommendation:",
+         "İMPRESSION:", "fİndings:", " ", "a", "."]), max_size=12).map("".join))
+    def test_dotted_capital_i_takes_the_place_of_one_character(self, raw):
+        # "X" lowercases to one character that is in no header, as "İ"
+        # is in none, so both texts cut the same span.
+        plain = extract_findings(raw.replace("İ", "X"))
+        assert extract_findings(raw).replace("İ", "X") == plain
 
 
 class TestSplitSentences:
@@ -70,6 +96,30 @@ class TestSplitSentences:
         first = " ".join(a) + "."
         second = " ".join(b) + "."
         assert split_sentences(first + " " + second) == [first, second]
+
+
+# Boundary whitespace beyond ASCII: the information separators, NEL, NBSP.
+SPLIT_TEXTS = st.lists(st.one_of(
+    st.sampled_from([".", "!", "?", "?!.", "..", " ", "\t", "\n", "\r", "\x0b",
+                     "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+                     "\u2028", "\u3000", "vs", "Dr", "e.g", "a.m", "B", "x",
+                     "İ", "lungs", "XXXX"]),
+    st.text(max_size=3)), max_size=20).map("".join)
+
+
+class TestSplitSentencesEqualsReference:
+    @given(SPLIT_TEXTS)
+    @example("Clear.")
+    @example("Clear?!.")
+    @example("Effusion?!. No.\x1cClear!\x85Stable.\xa0Done?")
+    @example("Stable vs.\x1fprior. B.\x1d x")
+    @example(".")
+    def test_regex_boundaries_match_the_loop(self, text):
+        assert split_sentences(text) == reference_split_sentences(text)
+
+    def test_regex_whitespace_is_str_isspace(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [ch for ch in every if ch.isspace()]
 
 
 class TestTokenize:

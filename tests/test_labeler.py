@@ -1,11 +1,15 @@
 """Mention extraction, classification, aggregation, corpus labeling."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from radpriors.corpus import CorpusError, Report, load_corpus, make_report
+import radpriors.labeler as labeler
+from oracles import reference_label_corpus, reference_make_report
+from radpriors.corpus import (CorpusError, CorpusRecord, Report, load_corpus,
+                              make_report)
 from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
                                Verdict, aggregate, classify_mentions,
                                extract_mentions, label_corpus, label_report)
@@ -13,6 +17,7 @@ from radpriors.rules import (KeywordEntry, RuleSet, default_rules,
                              parse_template)
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH_GEN = Path(__file__).parent.parent / "bench" / "gen.py"
 
 ROW1 = "Cardiomegaly is noted and is stable compared to prior examination from XXXX."
 ROW2 = "Ill-defined opacity is again noted in the region of the lingula."
@@ -348,3 +353,111 @@ class TestExtractMentionsEqualsReference:
             assert got == want
             assert [id(m.keyword) for m in got] == \
                 [id(m.keyword) for m in want]
+
+
+# Non-ASCII keywords: "früher", the final-sigma word "ας", and two stems
+# that the Kelvin sign ("\u212a" lowercases to "k") and the dotted capital
+# I ("İ" lowercases to "i" plus a combining dot) reach.
+CUSTOM_RULES = RuleSet(
+    keywords=[KeywordEntry("früher"), KeywordEntry("ας"),
+              KeywordEntry("kv", stem=True), KeywordEntry("i\u0307", stem=True)],
+    negation_patterns=[parse_template("neg-no", "no ..1 {m}")],
+    prior_patterns=[parse_template("prior-exam", "{m} ..1 exam|film"),
+                    parse_template("marker-compared", "compared to {m}")],
+    change_verbs=frozenset())
+CUSTOM_RULES.validate()
+# Built directly and unvalidated: its one surface crosses a sentence
+# boundary, so it is in the findings text but can never be a token.
+STRADDLING_RULES = RuleSet(
+    keywords=[KeywordEntry("clear. prior")], negation_patterns=[],
+    prior_patterns=[parse_template("prior-any", "{m}")],
+    change_verbs=frozenset())
+RULE_SETS = {"default": default_rules(), "custom": CUSTOM_RULES,
+             "straddling": STRADDLING_RULES}
+
+TEXT_PIECES = [
+    "prior", "Prior", "PRIOR", "nonprior", "again", "Increased", "unchanged",
+    "interval", "compared", "to", "no", "exam", "film", "früher", "FRÜHER",
+    "ΑΣ", "ας", "Σ", "ς", "İ", "İ\u0307", "\u212aV", "kv", "clear", "findings:",
+    "FINDINGS:", "impression:", "IMPRESSION:", "vs.", "Dr.", "B.", ".", "!",
+    "?", "?!.", ",", "\u201c", "\u201d", " ", "  ", "\n", "\t", "\xa0", "\x85",
+    "\x1c", "\x1f", "\u3000"]
+TEXTS = st.lists(st.one_of(st.sampled_from(TEXT_PIECES), st.text(max_size=2)),
+                 max_size=24).map("".join)
+
+
+def records_of(texts):
+    return [CorpusRecord(id=f"r{i}", text=text, reference=text[::-1],
+                         candidate=text.upper())
+            for i, text in enumerate(texts)]
+
+
+class TestLabelCorpusEqualsReference:
+    """``label_corpus`` skips keyword-free findings; the full chain doesn't."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(RULE_SETS)), st.lists(TEXTS, max_size=4))
+    @example("default", ["İİİ FINDINGS: Stable compared to prior exam. "
+                         "IMPRESSION: none."])
+    @example("default", ["FINDINGS: İ nonprior opacity. IMPRESSION: prior."])
+    @example("custom", ["\u212aVp compared to früher. No ΑΣ film."])
+    @example("custom", ["ΑΣ. exam", "ΑΣ exam.", "Stable ΑΣ.\x85film"])
+    @example("custom", ["İNDEX film. FRÜHER exam!"])
+    @example("straddling", ["FINDINGS: Lungs clear. Prior film."])
+    def test_labels_equal_the_full_chain(self, rules_name, texts):
+        rules = RULE_SETS[rules_name]
+        records = records_of(texts)
+        for source in ("text", "reference", "candidate"):
+            want = reference_label_corpus(records, rules, source)
+            labels, counts = label_corpus(records, rules, text_source=source)
+            assert labels == want
+            assert counts.positive == sum(label.value for label in want)
+        for record in records:
+            assert make_report(record.id, record.text) == \
+                reference_make_report(record.id, record.text)
+
+    def test_straddling_surface_passes_the_screen_and_labels_0(self):
+        findings = "Lungs clear. Prior film."
+        assert STRADDLING_RULES.may_mention(findings)
+        labels, _ = label_corpus(records_of([findings]), STRADDLING_RULES)
+        assert labels == [PriorLabel(0, ())]
+
+    def test_keyword_free_findings_are_not_normalized(self, rules,
+                                                      monkeypatch):
+        def refuse(*args):
+            raise AssertionError("keyword-free findings were normalized")
+        monkeypatch.setattr(labeler, "report_from_findings", refuse)
+        texts = ["FINDINGS: Lungs clear. IMPRESSION: Prior exam.",
+                 "Heart normal. Lungs clear!"]
+        labels, counts = label_corpus(records_of(texts), rules)
+        assert labels == [PriorLabel(0, ()), PriorLabel(0, ())]
+        assert counts.to_dict() == {"negative": 2, "positive": 0, "total": 2}
+
+    def test_may_mention_reads_the_lowercase(self):
+        assert CUSTOM_RULES.may_mention("\u212aV")
+        assert CUSTOM_RULES.may_mention("İ")
+        assert CUSTOM_RULES.may_mention("Α ΑΣ.")
+        assert not CUSTOM_RULES.may_mention("Α ΑΣΑ")
+        assert not CUSTOM_RULES.may_mention("K\u0307")
+
+
+@pytest.fixture(scope="module")
+def bench_gen():
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchCorporaEqualReference:
+    """The bench's generated corpora, at a reduced size, label alike."""
+
+    @pytest.mark.parametrize("seed", [3, 5, 11])
+    @pytest.mark.parametrize("workload, count, source", [
+        ("label-reports", 1000, "text"), ("analyze-long", 100, "candidate")])
+    def test_labels_equal_the_full_chain(self, rules, bench_gen, tmp_path,
+                                         workload, count, source, seed):
+        truth = bench_gen.generate(workload, seed, tmp_path, count)
+        records = load_corpus(tmp_path / truth["input"])
+        labels, _ = label_corpus(records, rules, text_source=source)
+        assert labels == reference_label_corpus(records, rules, source)
