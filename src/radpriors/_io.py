@@ -1,10 +1,18 @@
-"""Atomic text-file writes shared by the CLI and analysis outputs."""
+"""Pieces every command loads: the data-error base and atomic writes."""
 
 from __future__ import annotations
 
 import os
 import tempfile
 from pathlib import Path
+
+
+class DataError(ValueError):
+    """Input data the program cannot use; the CLI exits 2 on it.
+
+    Each module's own error class derives from it, so the CLI catches
+    one class without importing the modules a command does not run.
+    """
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

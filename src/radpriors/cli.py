@@ -4,6 +4,9 @@ Exit codes: 0 on success, 1 for usage errors, 2 for data errors (the
 message names the offending record id or line). Output files are written
 to a temporary file and renamed into place so failed runs never leave
 partial outputs behind.
+
+Each command imports the modules it runs when it runs, so ``infuse-demo``
+loads no corpus code and ``label`` and ``eval`` load no numpy.
 """
 
 from __future__ import annotations
@@ -16,19 +19,19 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from ._io import atomic_write_text
-from .analysis import (ScoreRow, StratifiedSummary, emit_plot_data,
-                       plot_stats_path, stratify)
-from .corpus import CorpusError, CorpusRecord, load_corpus
-from .labeler import LabelCounts, PriorLabel, label_corpus
-from .metrics import EvaluationError, MetricReport, evaluate_corpus
-from .rules import RuleFileError, RuleSet, default_rules, load_rules
+from ._io import DataError, atomic_write_text
+
+if TYPE_CHECKING:
+    from .analysis import StratifiedSummary
+    from .corpus import CorpusRecord
+    from .labeler import LabelCounts, PriorLabel
+    from .metrics import MetricReport
+    from .rules import RuleSet
 
 __all__ = ["run", "pipeline_label_then_eval", "PipelineResult"]
-
-_DATA_ERRORS = (CorpusError, RuleFileError, EvaluationError, OSError)
 
 # Options that name a file, with their argparse destinations.  No two of
 # one invocation may resolve to the same file.
@@ -66,6 +69,11 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
     reference, and the summary groups scores by that label; each
     stratum's mean token length is that of its candidates.
     """
+    from .analysis import ScoreRow, stratify
+    from .labeler import label_corpus
+    from .metrics import evaluate_corpus
+    from .rules import default_rules
+
     if metric not in _METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}")
     rules = rules or default_rules()
@@ -85,10 +93,14 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
 
 
 def _load_ruleset(path: str | None) -> RuleSet:
+    from .rules import default_rules, load_rules
     return load_rules(path) if path else default_rules()
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
+    from .corpus import load_corpus
+    from .labeler import label_corpus
+
     records = load_corpus(args.infile, format=args.format)
     rules = _load_ruleset(args.rules)
     labels, counts = label_corpus(records, rules, text_source=args.label_on)
@@ -122,6 +134,9 @@ def _per_report_csv(metrics: MetricReport) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .corpus import load_corpus
+    from .metrics import evaluate_corpus
+
     records = load_corpus(args.infile, format=args.format)
     metrics = evaluate_corpus(records)
     if args.gold_labels:
@@ -138,6 +153,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import emit_plot_data
+    from .corpus import load_corpus
+
     records = load_corpus(args.infile, format=args.format)
     rules = _load_ruleset(args.rules)
     result = pipeline_label_then_eval(records, rules, metric=args.metric,
@@ -166,18 +184,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_infuse_demo(args: argparse.Namespace) -> int:
-    from .infusion import (InfusionError, ToyConfig, ToyModel,
-                           demo_image_pair, forward, grad_check)
+    from .infusion import (ToyConfig, ToyModel, demo_image_pair, forward,
+                           grad_check)
+
     config = ToyConfig(seed=args.seed)
     model = ToyModel(config)
     images = demo_image_pair(args.seed, size=config.image_size)
-    try:
-        result = forward(model, images, prior=float(args.prior),
-                         max_len=args.max_len)
-        report = (grad_check(model, images, prior=float(args.prior))
-                  if args.grad_check else None)
-    except InfusionError as exc:
-        return _data_error(exc)
+    result = forward(model, images, prior=float(args.prior),
+                     max_len=args.max_len)
+    report = (grad_check(model, images, prior=float(args.prior))
+              if args.grad_check else None)
     print(f"seed={args.seed} prior={args.prior} tokens={result.tokens}")
     if args.emit_latents:
         payload = {
@@ -209,6 +225,8 @@ def _int_at_least(low: int, what: str):
 
 def _plot_data_path(text: str) -> str:
     """Argparse type: a path whose stats JSON can sit beside it."""
+    from .analysis import plot_stats_path
+
     try:
         plot_stats_path(text)
     except ValueError:
@@ -217,21 +235,35 @@ def _plot_data_path(text: str) -> str:
     return text
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: the package and bundled-rules versions, then exit.
+
+    The bundled rules are read only when the flag is given; unreadable
+    rules print a warning and the rules version ``unknown``.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from .rules import RuleFileError, default_rules
+
+        rules_version = "unknown"
+        try:
+            rules_version = default_rules().version
+        except (OSError, RuleFileError) as exc:
+            print(f"warning: cannot read the bundled rules: {exc}",
+                  file=sys.stderr)
+        print(f"radpriors {__version__} (default rules {rules_version})")
+        parser.exit()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radpriors",
         description="Label comparison-prior expressions in radiology "
                     "reports, score generated reports, and demo prior "
                     "infusion.")
-    rules_version = "unknown"
-    try:
-        rules_version = default_rules().version
-    except (OSError, RuleFileError) as exc:
-        print(f"warning: cannot read the bundled rules: {exc}",
-              file=sys.stderr)
-    parser.add_argument(
-        "--version", action="version",
-        version=f"radpriors {__version__} (default rules {rules_version})")
+    parser.add_argument("--version", action=_VersionAction, nargs=0,
+                        default=argparse.SUPPRESS,
+                        help="show program's version number and exit")
     commands = parser.add_subparsers(dest="command", required=True)
 
     def add_io(sub: argparse.ArgumentParser, needs_out: bool = True) -> None:
@@ -293,6 +325,7 @@ def _file_clash(args: argparse.Namespace) -> str | None:
     files = [(option, getattr(args, dest, None))
              for option, dest in _FILE_OPTIONS]
     if getattr(args, "plot_data", None):
+        from .analysis import plot_stats_path
         files.append(("the stats JSON of --plot-data",
                       plot_stats_path(args.plot_data)))
     seen: dict[Path, str] = {}
@@ -304,12 +337,6 @@ def _file_clash(args: argparse.Namespace) -> str | None:
             return f"{seen[resolved]} and {option} name the same file: {path}"
         seen[resolved] = option
     return None
-
-
-def _data_error(exc: Exception) -> int:
-    """Report a data error on stderr; returns its exit code."""
-    print(f"error: {exc}", file=sys.stderr)
-    return 2
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -324,8 +351,9 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
-        return _data_error(exc)
+    except (DataError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,6 +18,8 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._io import DataError
+
 __all__ = [
     "CorpusError",
     "Report",
@@ -31,7 +33,7 @@ __all__ = [
 ]
 
 
-class CorpusError(ValueError):
+class CorpusError(DataError):
     """Malformed corpus input. Carries the offending location when known."""
 
     def __init__(self, message: str, *, line: int | None = None,

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import DataError
+
 __all__ = [
     "InfusionError",
     "ToyConfig",
@@ -44,7 +46,7 @@ BOS_TOKEN = 0
 EOS_TOKEN = 1
 
 
-class InfusionError(ValueError):
+class InfusionError(DataError):
     """Bad model input: wrong shapes, non-finite values, bad prior."""
 
 
@@ -305,16 +307,15 @@ def forward(model: ToyModel, images: ImagePair, prior: float | None,
 DEFAULT_PROBE = (2, 3, 4, 5, 6, 7)
 
 
-def teacher_forced_loss(model: ToyModel, images: ImagePair, prior: float,
-                        probe: tuple[int, ...] = DEFAULT_PROBE,
-                        scale: float = 1.0,
-                        ) -> tuple[float, dict[str, np.ndarray], float]:
-    """Scalar probe loss with analytic gradients.
+def _probe_forward(model: ToyModel, images: ImagePair, prior: float,
+                   probe: tuple[int, ...], scale: float,
+                   ) -> tuple[float, dict[str, np.ndarray],
+                              list[dict[str, np.ndarray]]]:
+    """Forward half of :func:`teacher_forced_loss`.
 
-    The loss is ``scale`` times the sum of all pre-softmax decoder
-    outputs along a fixed teacher-forced token sequence, which keeps it
-    smooth in every parameter (greedy argmax choices would not be).
-    Returns (loss, weight gradients, d loss / d prior).
+    Returns (loss, encoder state with the decoder keys ``Kd`` and
+    ``Vd``, per-position decoder steps): the loss plus everything the
+    backward pass reads. Finite-difference probes need the loss alone.
     """
     value = _check_prior(prior)
     p = model.params
@@ -333,6 +334,26 @@ def teacher_forced_loss(model: ToyModel, images: ImagePair, prior: float,
     steps = [_decoder_step(model, Kd, Vd, token, position)
              for position, token in enumerate(probe)]
     loss = scale * math.fsum(float(step["logits"].sum()) for step in steps)
+    state.update(Kd=Kd, Vd=Vd)
+    return loss, state, steps
+
+
+def teacher_forced_loss(model: ToyModel, images: ImagePair, prior: float,
+                        probe: tuple[int, ...] = DEFAULT_PROBE,
+                        scale: float = 1.0,
+                        ) -> tuple[float, dict[str, np.ndarray], float]:
+    """Scalar probe loss with analytic gradients.
+
+    The loss is ``scale`` times the sum of all pre-softmax decoder
+    outputs along a fixed teacher-forced token sequence, which keeps it
+    smooth in every parameter (greedy argmax choices would not be).
+    Returns (loss, weight gradients, d loss / d prior).
+    """
+    loss, state, steps = _probe_forward(model, images, prior, probe, scale)
+    p = model.params
+    config = model.config
+    patches, Ln = state["patches"], state["Ln"]
+    Kd, Vd = state["Kd"], state["Vd"]
 
     grads = {name: np.zeros_like(array) for name, array in p.items()}
     d_prior = 0.0
@@ -425,16 +446,16 @@ def grad_check(model: ToyModel, images: ImagePair, prior: float,
     """Compare analytic gradients against central finite differences.
 
     One entry of every parameter array is sampled (seeded, so the choice
-    is reproducible) along with d loss / d prior.
+    is reproducible) along with d loss / d prior. The analytic gradients
+    take one backward pass; each finite-difference probe runs forward
+    only.
     """
-    loss, grads, d_prior = teacher_forced_loss(model, images, prior, probe)
-    del loss
+    _, grads, d_prior = teacher_forced_loss(model, images, prior, probe)
     rng = np.random.default_rng(sample_seed)
     per_param: dict[str, float] = {}
 
     def loss_at(prior_value: float) -> float:
-        value, _, _ = teacher_forced_loss(model, images, prior_value, probe)
-        return value
+        return _probe_forward(model, images, prior_value, probe, 1.0)[0]
 
     for name, array in model.params.items():
         flat_index = int(rng.integers(array.size))

@@ -20,6 +20,7 @@ from itertools import repeat
 from operator import mul
 from typing import NamedTuple
 
+from ._io import DataError
 from .corpus import CorpusRecord, tokenize
 
 __all__ = [
@@ -41,7 +42,7 @@ ROUGE_BETA = 1.2
 CIDER_SCALE = 10.0
 
 
-class EvaluationError(ValueError):
+class EvaluationError(DataError):
     """Records cannot be scored (missing fields, empty input)."""
 
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from ._io import DataError
+
 __all__ = [
     "RuleFileError",
     "KeywordEntry",
@@ -43,7 +45,7 @@ DEFAULT_RULES_RESOURCE = "default.rules"
 _SECTIONS = ("keywords", "negations", "priors", "change_verbs")
 
 
-class RuleFileError(ValueError):
+class RuleFileError(DataError):
     """Rules file cannot be parsed or fails validation."""
 
     def __init__(self, message: str, *, line: int | None = None) -> None:

@@ -1,4 +1,4 @@
-"""Plain reference implementations the labeling fast paths are held to.
+"""Plain reference implementations the fast paths are held to.
 
 ``reference_split_sentences`` is the character loop that found sentence
 boundaries before one regex did.  ``reference_make_report`` and
@@ -6,9 +6,17 @@ boundaries before one regex did.  ``reference_make_report`` and
 every record before it skipped findings sections holding no keyword
 surface: findings, sentences by the loop, tokens, then every labeler
 stage.
+
+``reference_grad_check`` is the finite-difference check as it ran when
+every probe called ``teacher_forced_loss``, backward pass included, and
+kept only the loss.
 """
 
+import numpy as np
+
 from radpriors.corpus import Report, _guarded_period, extract_findings, tokenize
+from radpriors.infusion import (DEFAULT_PROBE, GradCheckReport, _rel_error,
+                                teacher_forced_loss)
 from radpriors.labeler import label_report
 
 
@@ -46,3 +54,36 @@ def reference_label(report_id, raw_text, rules):
 def reference_label_corpus(records, rules, text_source="text"):
     return [reference_label(record.id, getattr(record, text_source), rules)
             for record in records]
+
+
+def reference_grad_check(model, images, prior, step=1e-4, probe=DEFAULT_PROBE,
+                         sample_seed=0):
+    loss, grads, d_prior = teacher_forced_loss(model, images, prior, probe)
+    del loss
+    rng = np.random.default_rng(sample_seed)
+    per_param = {}
+
+    def loss_at(prior_value):
+        value, _, _ = teacher_forced_loss(model, images, prior_value, probe)
+        return value
+
+    for name, array in model.params.items():
+        flat_index = int(rng.integers(array.size))
+        index = np.unravel_index(flat_index, array.shape)
+        original = array[index]
+        array[index] = original + step
+        plus = loss_at(prior)
+        array[index] = original - step
+        minus = loss_at(prior)
+        array[index] = original
+        numeric = (plus - minus) / (2.0 * step)
+        per_param[name] = _rel_error(float(grads[name][index]), numeric)
+
+    prior_fd = (loss_at(prior + step) - loss_at(prior - step)) / (2.0 * step)
+    per_param["prior"] = _rel_error(d_prior, prior_fd)
+    return GradCheckReport(
+        max_rel_error=max(per_param.values()),
+        per_param=per_param,
+        prior_analytic=d_prior,
+        prior_fd=prior_fd,
+    )

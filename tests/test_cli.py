@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, output determinism."""
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -10,9 +11,12 @@ from pathlib import Path
 import pytest
 
 import radpriors
-from radpriors import cli
+from radpriors import rules
+from radpriors._io import DataError
 from radpriors.cli import pipeline_label_then_eval, run
-from radpriors.corpus import load_corpus
+from radpriors.corpus import CorpusError, load_corpus
+from radpriors.infusion import InfusionError
+from radpriors.metrics import EvaluationError
 from radpriors.rules import RuleFileError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -90,11 +94,17 @@ class TestExitCodes:
         assert printed.startswith("radpriors 0.1.0")
         assert "rules 1" in printed
 
+    def test_version_text(self, capsys):
+        assert run(["--version"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "radpriors 0.1.0 (default rules 1)\n"
+        assert captured.err == ""
+
     def test_version_survives_unreadable_rules(self, monkeypatch, capsys):
         def broken_rules():
             raise RuleFileError("line 3: unknown section [bogus]")
 
-        monkeypatch.setattr(cli, "default_rules", broken_rules)
+        monkeypatch.setattr(rules, "default_rules", broken_rules)
         assert run(["--version"]) == 0
         captured = capsys.readouterr()
         assert "default rules unknown" in captured.out
@@ -170,6 +180,34 @@ class TestExitCodes:
         assert [path.name for path in tmp_path.iterdir()] == ["corpus.jsonl"]
         assert (tmp_path / "corpus.jsonl").read_bytes() == corpus
 
+    @pytest.mark.parametrize("error", [CorpusError, EvaluationError,
+                                       InfusionError, RuleFileError])
+    def test_data_errors_share_one_base(self, error):
+        assert issubclass(error, DataError)
+        assert issubclass(error, ValueError)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["label", "--in", "dup.jsonl", "--out", "out"],
+         "duplicate id 'a'"),
+        (["eval", "--in", str(FIXTURES / "golden4.jsonl"), "--out", "out"],
+         "record 't1' has no candidate"),
+        (["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
+          "--out", "out", "--rules", "bad.rules"],
+         "line 1: unknown section [bogus]"),
+        (["infuse-demo", "--max-len", "0"],
+         "max_len must lie in 1..12, got 0"),
+    ], ids=["label", "eval", "analyze", "infuse-demo"])
+    def test_data_error_exit_code_and_text(self, argv, message, tmp_path,
+                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dup.jsonl").write_text(
+            '{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n',
+            encoding="utf-8")
+        (tmp_path / "bad.rules").write_text("[bogus]\n", encoding="utf-8")
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_failed_run_leaves_no_output(self, tmp_path, capsys):
         bad = tmp_path / "dup.jsonl"
         bad.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n',
@@ -196,6 +234,28 @@ assert codes == [0, 0, 0], codes
 assert "numpy" not in sys.modules, "numpy was loaded"
 """
 
+# Runs the code in argv[1] with argv[2:] as its argv, then prints the
+# numpy and radpriors modules it left in sys.modules as the last line.
+_LOADED_AFTER = """
+import json, sys
+code, sys.argv = sys.argv[1], sys.argv[1:]
+exec(code)
+print(json.dumps(sorted(name for name in sys.modules
+                        if name == "numpy" or name.startswith("radpriors"))))
+"""
+_RUN_CLI = "from radpriors.cli import run; assert run(sys.argv[1:]) == 0"
+
+
+def _loaded_after(code, *argv):
+    """Module names loaded by ``code`` run in a fresh interpreter."""
+    src = str(Path(radpriors.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, code, *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True)
+    assert completed.returncode == 0, completed.stderr
+    return set(json.loads(completed.stdout.splitlines()[-1]))
+
 
 class TestImports:
     def test_only_infuse_demo_loads_numpy(self, tmp_path):
@@ -209,6 +269,76 @@ class TestImports:
         for name in ("labels.jsonl", "metrics.json", "analysis.json",
                      "scores.csv", "plot.csv", "plot.json"):
             assert (tmp_path / name).exists(), name
+
+    @pytest.mark.parametrize("code", [
+        "import radpriors",
+        "import radpriors; radpriors.__version__",
+        "from radpriors import __version__",
+    ])
+    def test_package_import_loads_no_submodule(self, code):
+        assert _loaded_after(code) == {"radpriors"}
+
+    def test_exported_name_loads_only_its_home(self):
+        assert _loaded_after("import radpriors; radpriors.RuleSet") == \
+            {"radpriors", "radpriors._io", "radpriors.rules"}
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["label", "--in", FIXTURES / "golden4.jsonl", "--out", "OUT/l.jsonl"],
+         {"corpus", "labeler", "rules"}),
+        (["eval", "--in", FIXTURES / "eval3.jsonl", "--out", "OUT/m.json",
+          "--csv", "OUT/m.csv"],
+         {"corpus", "metrics"}),
+        (["analyze", "--in", FIXTURES / "pipeline6.jsonl",
+          "--out", "OUT/a.json", "--plot-data", "OUT/p.csv"],
+         {"analysis", "corpus", "labeler", "metrics", "rules"}),
+        (["infuse-demo", "--grad-check", "--emit-latents", "OUT/l.json"],
+         {"infusion"}),
+        (["--version"], {"rules"}),
+    ], ids=["label", "eval", "analyze", "infuse-demo", "version"])
+    def test_each_command_loads_only_its_modules(self, argv, modules,
+                                                 tmp_path):
+        argv = [str(arg).replace("OUT", str(tmp_path)) for arg in argv]
+        loaded = _loaded_after(_RUN_CLI, *argv)
+        expected = {"radpriors", "radpriors._io", "radpriors.cli",
+                    *(f"radpriors.{name}" for name in modules)}
+        if "infusion" in modules:
+            expected.add("numpy")
+        assert loaded == expected
+
+
+class TestLazyExports:
+    def test_every_export_is_its_home_attribute(self):
+        for name in radpriors.__all__:
+            if name == "__version__":
+                continue
+            home = importlib.import_module(
+                f"radpriors.{radpriors._HOMES[name]}")
+            assert getattr(radpriors, name) is getattr(home, name), name
+            assert getattr(home, name).__module__ == home.__name__, name
+
+    def test_all_lists_the_public_api(self):
+        assert radpriors.__all__ == [
+            "__version__",
+            "CorpusError", "CorpusRecord", "Report", "extract_findings",
+            "load_corpus", "make_report", "split_sentences", "tokenize",
+            "ClassifiedMention", "LabelCounts", "Mention", "PriorLabel",
+            "Verdict", "aggregate", "classify_mentions", "extract_mentions",
+            "label_corpus", "label_report",
+            "CorpusScores", "EvaluationError", "MetricReport", "ReportScores",
+            "bleu", "cider", "evaluate_corpus", "rouge_l",
+            "RuleFileError", "RuleSet", "default_rules", "load_rules",
+        ]
+
+    def test_star_import_and_dir_agree(self):
+        namespace = {}
+        exec("from radpriors import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == dir(radpriors)
+        assert set(namespace) == set(radpriors.__all__)
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            radpriors.no_such_name
 
 
 class TestEvalCommand:

@@ -1,8 +1,12 @@
 """Prior infusion on the deterministic toy encoder-decoder."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import reference_grad_check
 from radpriors import infusion
 from radpriors.infusion import (ImagePair, InfusionError, ToyConfig, ToyModel,
                                 demo_image_pair, forward, grad_check, infuse,
@@ -174,6 +178,38 @@ class TestGradients:
         for name in grads:
             np.testing.assert_allclose(grads2[name], 2.0 * grads[name],
                                        atol=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           prior=st.one_of(st.sampled_from([0.0, 1.0, -0.5]),
+                           st.floats(-3.0, 3.0)),
+           step=st.sampled_from([1e-3, 1e-4, 1e-5]),
+           sample_seed=st.integers(0, 1000))
+    @example(seed=17, prior=0.0, step=1e-4, sample_seed=0)
+    @example(seed=3, prior=-0.5, step=1e-4, sample_seed=0)
+    def test_grad_check_equals_reference(self, seed, prior, step,
+                                         sample_seed):
+        model = ToyModel(ToyConfig(seed=seed))
+        images = demo_image_pair(seed)
+        report = grad_check(model, images, prior, step=step,
+                            sample_seed=sample_seed)
+        expected = reference_grad_check(model, images, prior, step=step,
+                                        sample_seed=sample_seed)
+        for field in dataclasses.fields(report):
+            assert getattr(report, field.name) == \
+                getattr(expected, field.name), field.name
+
+    def test_grad_check_runs_one_backward_pass(self, model, images,
+                                               monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return teacher_forced_loss(*args, **kwargs)
+
+        monkeypatch.setattr(infusion, "teacher_forced_loss", counted)
+        grad_check(model, images, prior=1.0)
+        assert calls == [1.0]
 
     def test_loss_is_finite_scalar(self, model, images):
         loss, grads, _ = teacher_forced_loss(model, images, prior=1.0)
