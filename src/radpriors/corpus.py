@@ -4,8 +4,9 @@ Reports arrive as JSONL or CSV records with an ``id`` and a free-text
 ``text`` field, plus optional ``reference``, ``candidate``, and ``label``
 columns. A :class:`CorpusRecord` holds these raw fields as loaded; a field
 is normalized into a :class:`Report` (findings, sentences, tokens) only
-when it is labeled: :func:`make_report` runs the whole chain, and
-:func:`report_from_findings` its sentence and token steps alone.
+when it is labeled. :func:`make_report` runs the whole chain; the
+labeler runs its steps itself, so that it tokenizes only the sentences
+that can hold a mention.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "extract_findings",
     "split_sentences",
     "tokenize",
-    "report_from_findings",
     "make_report",
     "load_corpus",
 ]
@@ -162,16 +162,11 @@ class Report:
     tokens: list[list[str]]
 
 
-def report_from_findings(report_id: str, findings: str) -> Report:
-    """Split an extracted findings section into sentences and tokens."""
-    sentences = split_sentences(findings)
-    return Report(id=report_id, sentences=sentences,
-                  tokens=[tokenize(s) for s in sentences])
-
-
 def make_report(report_id: str, raw_text: str) -> Report:
     """Build a :class:`Report` by the fixed findings/sentence/token chain."""
-    return report_from_findings(report_id, extract_findings(raw_text))
+    sentences = split_sentences(extract_findings(raw_text))
+    return Report(id=report_id, sentences=sentences,
+                  tokens=[tokenize(s) for s in sentences])
 
 
 @dataclass

@@ -12,8 +12,11 @@ section split into sentences and tokens):
 
 Classification is local to a sentence and independent across mentions,
 so reports can be labeled with any order-preserving parallel map.
-:func:`label_corpus` labels a findings section that holds no keyword
-surface 0 without normalizing it, since no token of it can be a mention.
+:func:`label_corpus` tokenizes only the sentences whose lowercase holds
+a keyword surface, since no token of another sentence can be a mention,
+and it does not split a findings section that holds none. A mention is
+tried only against the templates whose literals its sentence holds
+(:meth:`RuleSet.templates_for`), in file order, so the same rule fires.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import enum
 from dataclasses import dataclass
 
 from .corpus import (CorpusError, CorpusRecord, Report, extract_findings,
-                     report_from_findings)
+                     split_sentences, tokenize)
 from .corpus import make_report  # noqa: F401  builds label_report's input
 from .rules import KeywordEntry, RuleSet
 
@@ -131,13 +134,15 @@ def classify_mentions(report: Report, mentions: list[Mention],
 
 def _classify_one(mention: Mention, tokens: list[str],
                   rules: RuleSet) -> ClassifiedMention:
-    for template in rules.negation_patterns:
+    # Only the templates whose literals the sentence holds can match.
+    negations, priors = rules.templates_for(tokens)
+    for template in negations:
         span = template.match(tokens, mention.token_span)
         if span is not None:
             return ClassifiedMention(mention, Verdict.NEGATED,
                                      template.rule_id, span)
     needs_marker = mention.keyword.surface in rules.change_verbs
-    for template in rules.prior_patterns:
+    for template in priors:
         if needs_marker and not template.is_marker:
             continue
         span = template.match(tokens, mention.token_span)
@@ -171,11 +176,12 @@ def label_corpus(records: list[CorpusRecord], rules: RuleSet,
 
     ``text_source`` picks which field is labeled: the record text
     (default), the reference or the candidate.  Each record's findings
-    section is extracted once. When its lowercase holds no keyword
-    surface (:meth:`RuleSet.may_mention`) the record labels 0 without
-    being split or tokenized; otherwise it is normalized by
-    :func:`report_from_findings` and labeled by :func:`label_report`.
-    Either way the label equals ``label_report(make_report(...))``.
+    section is extracted once; a section whose lowercase holds no keyword
+    surface (:meth:`RuleSet.may_mention`) labels 0 without being split.
+    Of the others, only a sentence that holds a surface is tokenized; the
+    rest keep no tokens, since none of theirs could be a mention, but
+    still count toward ``sentence_index``.  The label therefore equals
+    ``label_report(make_report(...))``.
     """
     if text_source not in ("text", "reference", "candidate"):
         raise ValueError(f"unknown text source {text_source!r}")
@@ -186,11 +192,14 @@ def label_corpus(records: list[CorpusRecord], rules: RuleSet,
             raise CorpusError(
                 f"record {record.id!r} has no {text_source} field")
         findings = extract_findings(value)
-        if rules.may_mention(findings):
-            labels.append(label_report(
-                report_from_findings(record.id, findings), rules))
-        else:
+        if not rules.may_mention(findings):
             labels.append(_NO_MENTIONS)
+            continue
+        sentences = split_sentences(findings)
+        tokens = [tokenize(sentence) if rules.may_mention(sentence) else []
+                  for sentence in sentences]
+        labels.append(label_report(Report(record.id, sentences, tokens),
+                                   rules))
     positive = sum(label.value for label in labels)
     counts = LabelCounts(negative=len(labels) - positive,
                          positive=positive, total=len(labels))

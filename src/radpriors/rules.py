@@ -196,22 +196,68 @@ class RuleSet:
     _surfaces: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _keyword_memo: dict[str, KeywordEntry | None] = field(
         init=False, repr=False, compare=False, default_factory=dict)
+    # The literal index: one bit per distinct literal atom of the templates,
+    # each token's bits, and the bits each template needs, in file order.
+    _literal_bits: dict[str, int] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+    _needed_bits: tuple[list[tuple[RuleTemplate, int]], ...] = field(
+        init=False, repr=False, compare=False)
+    _templates_memo: dict[int, tuple[tuple[RuleTemplate, ...], ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         # A stable sort, so surfaces of equal length keep file order.
         self._by_precedence = sorted(self.keywords,
                                      key=lambda entry: -len(entry.surface))
         self._surfaces = tuple(entry.surface for entry in self.keywords)
+        atom_bits: dict[_Literal, int] = {}
+
+        def needed(template: RuleTemplate) -> int:
+            bits = 0
+            for atom in template.pre + template.post:
+                if isinstance(atom, _Literal):
+                    bit = atom_bits.setdefault(atom, 1 << len(atom_bits))
+                    for choice in atom.choices:
+                        self._literal_bits[choice] = \
+                            self._literal_bits.get(choice, 0) | bit
+                    bits |= bit
+            return bits
+
+        self._needed_bits = tuple(
+            [(template, needed(template)) for template in patterns]
+            for patterns in (self.negation_patterns, self.prior_patterns))
 
     def may_mention(self, text: str) -> bool:
-        """False when no token of ``text``'s sentences can be a mention.
+        """False when no token of ``text``, a sentence or a section, can be
+        a mention.
 
         A mention's token equals or starts with its keyword's surface, and
-        every token is a substring of the lowercased text: sentences end
-        before whitespace, so even a final sigma lowercases alike in both.
-        A text whose lowercase holds no surface therefore has no mention.
+        every token is a substring of its sentence's lowercase. That is a
+        substring of the section's lowercase: sentences end before
+        whitespace, so even a final sigma lowercases alike in both. A text
+        whose lowercase holds no surface therefore has no mention.
         """
         return any(map(text.lower().__contains__, self._surfaces))
+
+    def templates_for(self, tokens: list[str]) -> tuple[
+            tuple[RuleTemplate, ...], tuple[RuleTemplate, ...]]:
+        """The negation and prior templates that may match in ``tokens``.
+
+        A template's every literal atom must equal some token of the
+        sentence, so a template with an atom no token satisfies is left
+        out. Both tuples keep file order. They are built once for each set
+        of satisfied atoms and remembered.
+        """
+        present = 0
+        for token in tokens:
+            present |= self._literal_bits.get(token, 0)
+        memo = self._templates_memo
+        if present not in memo:
+            memo[present] = tuple(
+                tuple(template for template, bits in needed_bits
+                      if bits & present == bits)
+                for needed_bits in self._needed_bits)
+        return memo[present]
 
     def keyword_for(self, token: str) -> KeywordEntry | None:
         """The keyword entry a token is a mention of, or None.

@@ -3,9 +3,12 @@
 ``reference_split_sentences`` is the character loop that found sentence
 boundaries before one regex did.  ``reference_make_report`` and
 ``reference_label`` are the per-record chain that ``label_corpus`` ran on
-every record before it skipped findings sections holding no keyword
-surface: findings, sentences by the loop, tokens, then every labeler
-stage.
+every record before it screened findings sections and sentences for
+keyword surfaces: findings, sentences by the loop, tokens of every
+sentence, then the labeler's stages as they ran before the rule set
+indexed keywords and template literals.  ``reference_extract_mentions``
+sorts each token's candidate keywords; ``reference_classify_one`` tries
+every negation template, then every prior template, in file order.
 
 ``reference_grad_check`` is the finite-difference check as it ran when
 every probe called ``teacher_forced_loss``, backward pass included, and
@@ -17,7 +20,8 @@ import numpy as np
 from radpriors.corpus import Report, _guarded_period, extract_findings, tokenize
 from radpriors.infusion import (DEFAULT_PROBE, GradCheckReport, _rel_error,
                                 teacher_forced_loss)
-from radpriors.labeler import label_report
+from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
+                               Verdict)
 
 
 def reference_split_sentences(text):
@@ -47,8 +51,66 @@ def reference_make_report(report_id, raw_text):
                   tokens=[tokenize(s) for s in sentences])
 
 
+def reference_extract_mentions(report, rules):
+    exact = {}
+    stems = []
+    for index, entry in enumerate(rules.keywords):
+        if entry.stem:
+            stems.append((index, entry))
+        elif entry.surface not in exact:
+            exact[entry.surface] = (index, entry)
+
+    mentions = []
+    for sentence_index, tokens in enumerate(report.tokens):
+        for position, token in enumerate(tokens):
+            candidates = []
+            if token in exact:
+                candidates.append(exact[token])
+            for index, entry in stems:
+                if entry.matches(token):
+                    candidates.append((index, entry))
+            if not candidates:
+                continue
+            candidates.sort(key=lambda item: (-len(item[1].surface), item[0]))
+            mentions.append(Mention(
+                keyword=candidates[0][1],
+                sentence_index=sentence_index,
+                token_span=(position, position + 1),
+                surface=token,
+            ))
+    return mentions
+
+
+def reference_classify_one(mention, tokens, rules):
+    for template in rules.negation_patterns:
+        span = template.match(tokens, mention.token_span)
+        if span is not None:
+            return ClassifiedMention(mention, Verdict.NEGATED,
+                                     template.rule_id, span)
+    needs_marker = mention.keyword.surface in rules.change_verbs
+    for template in rules.prior_patterns:
+        if needs_marker and not template.is_marker:
+            continue
+        span = template.match(tokens, mention.token_span)
+        if span is not None:
+            return ClassifiedMention(mention, Verdict.PRIOR_EXPRESSION,
+                                     template.rule_id, span)
+    return ClassifiedMention(mention, Verdict.IRRELEVANT)
+
+
+def reference_label_report(report, rules):
+    classified = [
+        reference_classify_one(mention, report.tokens[mention.sentence_index],
+                               rules)
+        for mention in reference_extract_mentions(report, rules)]
+    evidence = tuple(item for item in classified
+                     if item.verdict is Verdict.PRIOR_EXPRESSION)
+    return PriorLabel(value=1 if evidence else 0, evidence=evidence)
+
+
 def reference_label(report_id, raw_text, rules):
-    return label_report(reference_make_report(report_id, raw_text), rules)
+    return reference_label_report(reference_make_report(report_id, raw_text),
+                                  rules)
 
 
 def reference_label_corpus(records, rules, text_source="text"):

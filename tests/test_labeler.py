@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import radpriors.labeler as labeler
-from oracles import reference_label_corpus, reference_make_report
+from oracles import (reference_extract_mentions, reference_label_corpus,
+                     reference_label_report, reference_make_report)
 from radpriors.corpus import (CorpusError, CorpusRecord, Report, load_corpus,
-                              make_report)
+                              make_report, split_sentences, tokenize)
 from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
                                Verdict, aggregate, classify_mentions,
                                extract_mentions, label_corpus, label_report)
@@ -288,38 +289,6 @@ class TestLabelerProperties:
             assert combined == separate
 
 
-def reference_extract_mentions(report, rules):
-    """Mention extraction as it was before RuleSet.keyword_for: an
-    exact/stem index built per report and a candidate sort per token."""
-    exact = {}
-    stems = []
-    for index, entry in enumerate(rules.keywords):
-        if entry.stem:
-            stems.append((index, entry))
-        elif entry.surface not in exact:
-            exact[entry.surface] = (index, entry)
-
-    mentions = []
-    for sentence_index, tokens in enumerate(report.tokens):
-        for position, token in enumerate(tokens):
-            candidates = []
-            if token in exact:
-                candidates.append(exact[token])
-            for index, entry in stems:
-                if entry.matches(token):
-                    candidates.append((index, entry))
-            if not candidates:
-                continue
-            candidates.sort(key=lambda item: (-len(item[1].surface), item[0]))
-            mentions.append(Mention(
-                keyword=candidates[0][1],
-                sentence_index=sentence_index,
-                token_span=(position, position + 1),
-                surface=token,
-            ))
-    return mentions
-
-
 # Prefix chains ("un" < "unchang" < "unchanged") in both modes, repeats
 # allowed, so precedence and its file-order tie-break decide every token.
 KEYWORD_TABLES = st.lists(
@@ -377,7 +346,10 @@ RULE_SETS = {"default": default_rules(), "custom": CUSTOM_RULES,
 
 TEXT_PIECES = [
     "prior", "Prior", "PRIOR", "nonprior", "again", "Increased", "unchanged",
-    "interval", "compared", "to", "no", "exam", "film", "früher", "FRÜHER",
+    "interval", "compared", "to", "no", "exam", "film", "since", "from", "in",
+    "the", "seen", "noted", "not", "available", "recommended", "comparison",
+    "with", "study", "change", "without", "absence", "of", "similar",
+    "previously", "worsening", "früher", "FRÜHER",
     "ΑΣ", "ας", "Σ", "ς", "İ", "İ\u0307", "\u212aV", "kv", "clear", "findings:",
     "FINDINGS:", "impression:", "IMPRESSION:", "vs.", "Dr.", "B.", ".", "!",
     "?", "?!.", ",", "\u201c", "\u201d", " ", "  ", "\n", "\t", "\xa0", "\x85",
@@ -393,7 +365,9 @@ def records_of(texts):
 
 
 class TestLabelCorpusEqualsReference:
-    """``label_corpus`` skips keyword-free findings; the full chain doesn't."""
+    """``label_corpus`` screens findings and sentences for keyword surfaces
+    and tries only the templates whose literals a sentence holds; the full
+    chain does neither."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(RULE_SETS)), st.lists(TEXTS, max_size=4))
@@ -422,16 +396,33 @@ class TestLabelCorpusEqualsReference:
         labels, _ = label_corpus(records_of([findings]), STRADDLING_RULES)
         assert labels == [PriorLabel(0, ())]
 
-    def test_keyword_free_findings_are_not_normalized(self, rules,
-                                                      monkeypatch):
-        def refuse(*args):
-            raise AssertionError("keyword-free findings were normalized")
-        monkeypatch.setattr(labeler, "report_from_findings", refuse)
-        texts = ["FINDINGS: Lungs clear. IMPRESSION: Prior exam.",
-                 "Heart normal. Lungs clear!"]
-        labels, counts = label_corpus(records_of(texts), rules)
-        assert labels == [PriorLabel(0, ()), PriorLabel(0, ())]
-        assert counts.to_dict() == {"negative": 2, "positive": 0, "total": 2}
+    def test_only_sentences_holding_a_surface_are_tokenized(self, rules,
+                                                            monkeypatch):
+        split, tokenized = [], []
+
+        def recording_split(findings):
+            split.append(findings)
+            return split_sentences(findings)
+
+        def recording_tokenize(sentence):
+            tokenized.append(sentence)
+            return tokenize(sentence)
+        monkeypatch.setattr(labeler, "split_sentences", recording_split)
+        monkeypatch.setattr(labeler, "tokenize", recording_tokenize)
+        texts = ["FINDINGS: Lungs clear. Stable since PRIOR film. Heart "
+                 "normal. Nonprior opacity! IMPRESSION: Prior exam.",
+                 "Heart normal. Lungs clear!",
+                 "No effusion. Unchanged from XXXX."]
+        records = records_of(texts)
+        labels, counts = label_corpus(records, rules)
+        assert split == ["Lungs clear. Stable since PRIOR film. Heart "
+                         "normal. Nonprior opacity!", texts[2]]
+        assert tokenized == ["Stable since PRIOR film.", "Nonprior opacity!",
+                             "Unchanged from XXXX."]
+        assert labels == reference_label_corpus(records, rules)
+        assert [label.value for label in labels] == [1, 0, 1]
+        assert [item.mention.sentence_index for label in labels
+                for item in label.evidence] == [1, 1]
 
     def test_may_mention_reads_the_lowercase(self):
         assert CUSTOM_RULES.may_mention("\u212aV")
@@ -439,6 +430,80 @@ class TestLabelCorpusEqualsReference:
         assert CUSTOM_RULES.may_mention("Α ΑΣ.")
         assert not CUSTOM_RULES.may_mention("Α ΑΣΑ")
         assert not CUSTOM_RULES.may_mention("K\u0307")
+
+
+def template_vocabulary(rules):
+    """Every literal choice and keyword surface of ``rules``, plus filler."""
+    words = {entry.surface for entry in rules.keywords}
+    for template in rules.negation_patterns + rules.prior_patterns:
+        for atom in template.pre + template.post:
+            words.update(getattr(atom, "choices", ()))
+    return sorted(words) + ["opacity", "increased", "unchanging", "kvp", "."]
+
+
+@st.composite
+def template_sentences(draw, rules):
+    """Token lists around one template of ``rules``, its literals and gaps
+    filled from the vocabulary, or vocabulary tokens alone."""
+    words = st.sampled_from(template_vocabulary(rules))
+    noise = st.lists(words, max_size=4)
+    if draw(st.booleans()):
+        return draw(st.lists(words, max_size=12))
+    template = draw(st.sampled_from(rules.negation_patterns
+                                    + rules.prior_patterns))
+
+    def side(atoms):
+        tokens = []
+        for atom in atoms:
+            if hasattr(atom, "choices"):
+                tokens.append(draw(st.sampled_from(atom.choices)))
+            else:
+                tokens += draw(st.lists(words, max_size=atom.max))
+        return tokens
+    pre = side(template.pre)[::-1]
+    mention = draw(words)
+    return draw(noise) + pre + [mention] + side(template.post) + draw(noise)
+
+
+INDEXED_RULES = sorted(set(RULE_SETS) - {"straddling"})
+
+
+class TestTemplateIndex:
+    """``RuleSet.templates_for`` leaves out only templates that cannot match."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(INDEXED_RULES), st.data())
+    def test_every_matching_template_is_offered_in_file_order(self, rules_name,
+                                                              data):
+        rules = RULE_SETS[rules_name]
+        tokens = data.draw(template_sentences(rules))
+        offered_lists = rules.templates_for(tokens)
+        for offered, patterns in zip(offered_lists, (rules.negation_patterns,
+                                                     rules.prior_patterns)):
+            offered_ids = {id(template) for template in offered}
+            assert offered == tuple(template for template in patterns
+                                    if id(template) in offered_ids)
+            for position in range(len(tokens)):
+                for template in patterns:
+                    if template.match(tokens, (position, position + 1)):
+                        assert id(template) in offered_ids
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(INDEXED_RULES), st.data())
+    def test_label_report_equals_the_full_chain(self, rules_name, data):
+        rules = RULE_SETS[rules_name]
+        tokens = data.draw(st.lists(template_sentences(rules), max_size=3))
+        report = Report(id="r", sentences=[" ".join(t) for t in tokens],
+                        tokens=tokens)
+        assert label_report(report, rules) == \
+            reference_label_report(report, rules)
+
+    def test_offers_are_remembered_per_literal_set(self, rules):
+        first = rules.templates_for(["no", "prior", "study"])
+        assert rules.templates_for(["study", "prior", "no", "no"]) is first
+        negations, priors = first
+        assert [t.rule_id for t in negations] == ["neg-no"]
+        assert [t.rule_id for t in priors] == ["prior-exam-noun"]
 
 
 @pytest.fixture(scope="module")
