@@ -184,12 +184,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_infuse_demo(args: argparse.Namespace) -> int:
-    from .infusion import (ToyConfig, ToyModel, demo_image_pair, forward,
-                           grad_check)
+    from .infusion import ToyModel, demo_image_pair, forward, grad_check
 
-    config = ToyConfig(seed=args.seed)
-    model = ToyModel(config)
-    images = demo_image_pair(args.seed, size=config.image_size)
+    model = ToyModel(args.seed)
+    images = demo_image_pair(args.seed)
     result = forward(model, images, prior=float(args.prior),
                      max_len=args.max_len)
     report = (grad_check(model, images, prior=float(args.prior))

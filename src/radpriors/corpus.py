@@ -249,6 +249,12 @@ def _load_csv(path: Path) -> list[CorpusRecord]:
         # the previous row ended.  Blank lines hold no record.
         start = reader.line_num + 1
         for row in reader:
+            if len(row) > len(header):
+                # An unquoted comma split a cell; never drop the extra cells.
+                raise CorpusError(
+                    f"row has {len(row)} cells but the header names "
+                    f"{len(header)}; quote any cell that holds a comma",
+                    line=start)
             if row:
                 # An empty cell is an absent optional field, but an empty text.
                 mapping = {k: v for k, v in zip(header, row)

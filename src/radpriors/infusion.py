@@ -11,9 +11,12 @@ model so the infusion arithmetic can be tested exactly:
 
 P is a plain scalar broadcast over positions and channels. Infusion adds
 no parameters: the model's weight count is identical with and without it.
+The shapes are module constants, so a model's one setting is its seed.
 
-Gradients are implemented by hand (reverse-mode over the fixed graph)
-and validated against central finite differences in :func:`grad_check`.
+One encoder pass serves :func:`forward` and :func:`teacher_forced_loss`,
+a loss along the fixed tokens ``PROBE`` whose gradients are implemented
+by hand (reverse-mode over the fixed graph) and validated against
+central finite differences in :func:`grad_check`.
 All arithmetic is float64 with seeded initialization, so equal seeds
 give bitwise-equal weights and outputs.
 """
@@ -29,7 +32,6 @@ from ._io import DataError
 
 __all__ = [
     "InfusionError",
-    "ToyConfig",
     "ImagePair",
     "ToyModel",
     "ForwardResult",
@@ -45,36 +47,20 @@ __all__ = [
 BOS_TOKEN = 0
 EOS_TOKEN = 1
 
+IMAGE_SIZE = 16
+PATCH_SIZE = 8
+PATCH_DIM = PATCH_SIZE * PATCH_SIZE
+NUM_PATCHES = 2 * (IMAGE_SIZE // PATCH_SIZE) ** 2  # frontal plus lateral
+EMBED_DIM = 16    # d, per-patch embedding width
+LATENT_DIM = 16   # f, per-position latent width
+HIDDEN_DIM = 32
+VOCAB_SIZE = 32
+MAX_LEN = 12
+PROBE = (2, 3, 4, 5, 6, 7)  # teacher-forced tokens of the probe loss
+
 
 class InfusionError(DataError):
     """Bad model input: wrong shapes, non-finite values, bad prior."""
-
-
-@dataclass(frozen=True)
-class ToyConfig:
-    """Shapes for the stub model. Defaults give S=8 patches of dim 16."""
-
-    image_size: int = 16
-    patch_size: int = 8
-    embed_dim: int = 16    # d, per-patch embedding width
-    latent_dim: int = 16   # f, per-position latent width
-    hidden_dim: int = 32
-    vocab_size: int = 32
-    max_len: int = 12
-    seed: int = 17
-
-    @property
-    def patches_per_image(self) -> int:
-        return (self.image_size // self.patch_size) ** 2
-
-    @property
-    def num_patches(self) -> int:
-        # Frontal plus lateral view.
-        return 2 * self.patches_per_image
-
-    @property
-    def patch_dim(self) -> int:
-        return self.patch_size * self.patch_size
 
 
 @dataclass(frozen=True)
@@ -85,11 +71,12 @@ class ImagePair:
     lateral: np.ndarray
 
 
-def demo_image_pair(seed: int = 17, size: int = 16) -> ImagePair:
+def demo_image_pair(seed: int) -> ImagePair:
     """Deterministic synthetic image pair for demos and tests."""
     rng = np.random.default_rng(seed)
-    return ImagePair(frontal=rng.uniform(-1.0, 1.0, (size, size)),
-                     lateral=rng.uniform(-1.0, 1.0, (size, size)))
+    shape = (IMAGE_SIZE, IMAGE_SIZE)
+    return ImagePair(frontal=rng.uniform(-1.0, 1.0, shape),
+                     lateral=rng.uniform(-1.0, 1.0, shape))
 
 
 def _sinusoid(length: int, width: int) -> np.ndarray:
@@ -102,56 +89,45 @@ def _sinusoid(length: int, width: int) -> np.ndarray:
 
 
 _PARAM_SHAPES = (
-    # name, (rows source, cols source), fan-in source
-    ("W_proj", ("patch_dim", "embed_dim"), "patch_dim"),
-    ("W_q", ("embed_dim", "embed_dim"), "embed_dim"),
-    ("W_k", ("embed_dim", "embed_dim"), "embed_dim"),
-    ("W_v", ("embed_dim", "embed_dim"), "embed_dim"),
-    ("W_o", ("embed_dim", "embed_dim"), "embed_dim"),
-    ("W_f1", ("embed_dim", "hidden_dim"), "embed_dim"),
-    ("b_f1", ("hidden_dim",), None),
-    ("W_f2", ("hidden_dim", "embed_dim"), "hidden_dim"),
-    ("b_f2", ("embed_dim",), None),
-    ("W_lat", ("embed_dim", "latent_dim"), "embed_dim"),
-    ("E", ("vocab_size", "latent_dim"), "latent_dim"),
-    ("W_dq", ("latent_dim", "latent_dim"), "latent_dim"),
-    ("W_dk", ("latent_dim", "latent_dim"), "latent_dim"),
-    ("W_dv", ("latent_dim", "latent_dim"), "latent_dim"),
-    ("W_do", ("latent_dim", "latent_dim"), "latent_dim"),
-    ("W_g1", ("latent_dim", "hidden_dim"), "latent_dim"),
-    ("b_g1", ("hidden_dim",), None),
-    ("W_g2", ("hidden_dim", "latent_dim"), "hidden_dim"),
-    ("b_g2", ("latent_dim",), None),
-    ("W_out", ("latent_dim", "vocab_size"), "latent_dim"),
+    # name, shape, fan-in (None: a bias, drawn at scale 0.1)
+    ("W_proj", (PATCH_DIM, EMBED_DIM), PATCH_DIM),
+    ("W_q", (EMBED_DIM, EMBED_DIM), EMBED_DIM),
+    ("W_k", (EMBED_DIM, EMBED_DIM), EMBED_DIM),
+    ("W_v", (EMBED_DIM, EMBED_DIM), EMBED_DIM),
+    ("W_o", (EMBED_DIM, EMBED_DIM), EMBED_DIM),
+    ("W_f1", (EMBED_DIM, HIDDEN_DIM), EMBED_DIM),
+    ("b_f1", (HIDDEN_DIM,), None),
+    ("W_f2", (HIDDEN_DIM, EMBED_DIM), HIDDEN_DIM),
+    ("b_f2", (EMBED_DIM,), None),
+    ("W_lat", (EMBED_DIM, LATENT_DIM), EMBED_DIM),
+    ("E", (VOCAB_SIZE, LATENT_DIM), LATENT_DIM),
+    ("W_dq", (LATENT_DIM, LATENT_DIM), LATENT_DIM),
+    ("W_dk", (LATENT_DIM, LATENT_DIM), LATENT_DIM),
+    ("W_dv", (LATENT_DIM, LATENT_DIM), LATENT_DIM),
+    ("W_do", (LATENT_DIM, LATENT_DIM), LATENT_DIM),
+    ("W_g1", (LATENT_DIM, HIDDEN_DIM), LATENT_DIM),
+    ("b_g1", (HIDDEN_DIM,), None),
+    ("W_g2", (HIDDEN_DIM, LATENT_DIM), HIDDEN_DIM),
+    ("b_g2", (LATENT_DIM,), None),
+    ("W_out", (LATENT_DIM, VOCAB_SIZE), LATENT_DIM),
 )
 
 
 class ToyModel:
     """Parameter store plus the fixed positional tables."""
 
-    def __init__(self, config: ToyConfig | None = None) -> None:
-        self.config = config or ToyConfig()
-        rng = np.random.default_rng(self.config.seed)
+    def __init__(self, seed: int = 17) -> None:
+        rng = np.random.default_rng(seed)
         self.params: dict[str, np.ndarray] = {}
-        for name, shape_names, fan_in_name in _PARAM_SHAPES:
-            shape = tuple(getattr(self.config, s) for s in shape_names)
+        for name, shape, fan_in in _PARAM_SHAPES:
             weights = rng.standard_normal(shape)
-            if fan_in_name is not None:
-                weights /= math.sqrt(getattr(self.config, fan_in_name))
+            if fan_in is not None:
+                weights /= math.sqrt(fan_in)
             else:
                 weights *= 0.1
             self.params[name] = weights
-        self.enc_pos = _sinusoid(self.config.num_patches,
-                                 self.config.embed_dim)
-        self.dec_pos = _sinusoid(self.config.max_len, self.config.latent_dim)
-
-    @classmethod
-    def zeroed(cls, config: ToyConfig | None = None) -> "ToyModel":
-        """All-zero weights; the decoder head then emits constant logits."""
-        model = cls(config)
-        for name in model.params:
-            model.params[name] = np.zeros_like(model.params[name])
-        return model
+        self.enc_pos = _sinusoid(NUM_PATCHES, EMBED_DIM)
+        self.dec_pos = _sinusoid(MAX_LEN, LATENT_DIM)
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -173,21 +149,21 @@ def infuse(tensor: np.ndarray, prior: float) -> np.ndarray:
     return np.asarray(tensor, dtype=float) + value
 
 
-def _flatten_patches(images: ImagePair, config: ToyConfig) -> np.ndarray:
-    size = config.image_size
-    patch = config.patch_size
+def _flatten_patches(images: ImagePair) -> np.ndarray:
+    shape = (IMAGE_SIZE, IMAGE_SIZE)
     rows = []
     for view_name in ("frontal", "lateral"):
         view = np.asarray(getattr(images, view_name), dtype=float)
-        if view.shape != (size, size):
+        if view.shape != shape:
             raise InfusionError(
-                f"{view_name} image must have shape {(size, size)}, "
+                f"{view_name} image must have shape {shape}, "
                 f"got {view.shape}")
         if not np.isfinite(view).all():
             raise InfusionError(f"{view_name} image contains non-finite values")
-        for i in range(0, size, patch):
-            for j in range(0, size, patch):
-                rows.append(view[i:i + patch, j:j + patch].reshape(-1))
+        for i in range(0, IMAGE_SIZE, PATCH_SIZE):
+            for j in range(0, IMAGE_SIZE, PATCH_SIZE):
+                rows.append(view[i:i + PATCH_SIZE,
+                                 j:j + PATCH_SIZE].reshape(-1))
     return np.stack(rows)
 
 
@@ -198,8 +174,7 @@ def visual_extract(images: ImagePair, model: ToyModel) -> np.ndarray:
     embedding. Frontal patches occupy the first S/2 rows; swapping the
     views therefore changes the embedding.
     """
-    patches = _flatten_patches(images, model.config)
-    return patches @ model.params["W_proj"]
+    return _flatten_patches(images) @ model.params["W_proj"]
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -208,22 +183,25 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def _encode(model: ToyModel, patches: np.ndarray,
+def _encode(model: ToyModel, images: ImagePair,
             prior: float | None) -> dict[str, np.ndarray]:
     """Run extractor and encoder, keeping intermediates for backprop.
 
-    ``prior=None`` removes the infusion steps entirely (the baseline
-    path), which is distinct from adding a zero.
+    The state also holds the decoder's keys ``Kd`` and values ``Vd``
+    over the infused latents ``Ln``. ``prior=None`` removes the infusion
+    steps entirely (the baseline path), which is distinct from adding a
+    zero.
     """
+    prior = None if prior is None else _check_prior(prior)
+    patches = _flatten_patches(images)
     p = model.params
-    d = model.config.embed_dim
     V = patches @ p["W_proj"]
     V1 = V if prior is None else infuse(V, prior)
     V2 = V1 + model.enc_pos
     Q = V2 @ p["W_q"]
     K = V2 @ p["W_k"]
     Vv = V2 @ p["W_v"]
-    scores = Q @ K.T / math.sqrt(d)
+    scores = Q @ K.T / math.sqrt(EMBED_DIM)
     A = _softmax_rows(scores)
     C = A @ Vv
     H = V2 + C @ p["W_o"]
@@ -235,16 +213,16 @@ def _encode(model: ToyModel, patches: np.ndarray,
     if not np.isfinite(Ln).all():
         raise InfusionError("encoder produced non-finite latents")
     return {"patches": patches, "V2": V2, "Q": Q, "K": K, "Vv": Vv,
-            "A": A, "C": C, "H": H, "F": F, "H2": H2, "L": L, "Ln": Ln}
+            "A": A, "C": C, "H": H, "F": F, "H2": H2, "L": L, "Ln": Ln,
+            "Kd": Ln @ p["W_dk"], "Vd": Ln @ p["W_dv"]}
 
 
 def _decoder_step(model: ToyModel, Kd: np.ndarray, Vd: np.ndarray,
                   token: int, position: int) -> dict[str, np.ndarray]:
     p = model.params
-    f = model.config.latent_dim
     q = p["E"][token] + model.dec_pos[position]
     r = q @ p["W_dq"]
-    s = Kd @ r / math.sqrt(f)
+    s = Kd @ r / math.sqrt(LATENT_DIM)
     a = _softmax_rows(s)
     m = a @ Vd
     c = m @ p["W_do"]
@@ -266,15 +244,13 @@ class ForwardResult:
     latent_infused: np.ndarray
 
 
-def _greedy_decode(model: ToyModel, Ln: np.ndarray,
+def _greedy_decode(model: ToyModel, state: dict[str, np.ndarray],
                    max_len: int) -> list[int]:
-    p = model.params
-    Kd = Ln @ p["W_dk"]
-    Vd = Ln @ p["W_dv"]
     tokens: list[int] = []
     token = BOS_TOKEN
     for position in range(max_len):
-        step = _decoder_step(model, Kd, Vd, token, position)
+        step = _decoder_step(model, state["Kd"], state["Vd"], token,
+                             position)
         if not np.isfinite(step["logits"]).all():
             raise InfusionError("decoder produced non-finite logits")
         token = int(np.argmax(step["logits"]))
@@ -290,81 +266,58 @@ def forward(model: ToyModel, images: ImagePair, prior: float | None,
 
     ``prior=None`` is the no-infusion baseline: both infusion steps are
     deleted, which is distinct from adding a zero prior. ``max_len``
-    defaults to, and may not exceed, the model's ``config.max_len``.
+    defaults to, and may not exceed, ``MAX_LEN``.
     """
-    value = None if prior is None else _check_prior(prior)
-    max_len = model.config.max_len if max_len is None else max_len
-    if not 1 <= max_len <= model.config.max_len:
-        raise InfusionError(f"max_len must lie in 1..{model.config.max_len}, "
-                            f"got {max_len!r}")
-    patches = _flatten_patches(images, model.config)
-    state = _encode(model, patches, value)
-    tokens = _greedy_decode(model, state["Ln"], max_len)
+    max_len = MAX_LEN if max_len is None else max_len
+    if not 1 <= max_len <= MAX_LEN:
+        raise InfusionError(
+            f"max_len must lie in 1..{MAX_LEN}, got {max_len!r}")
+    state = _encode(model, images, prior)
+    tokens = _greedy_decode(model, state, max_len)
     return ForwardResult(tokens=tokens, latent=state["L"],
                          latent_infused=state["Ln"])
 
 
-DEFAULT_PROBE = (2, 3, 4, 5, 6, 7)
-
-
 def _probe_forward(model: ToyModel, images: ImagePair, prior: float,
-                   probe: tuple[int, ...], scale: float,
                    ) -> tuple[float, dict[str, np.ndarray],
                               list[dict[str, np.ndarray]]]:
     """Forward half of :func:`teacher_forced_loss`.
 
-    Returns (loss, encoder state with the decoder keys ``Kd`` and
-    ``Vd``, per-position decoder steps): the loss plus everything the
-    backward pass reads. Finite-difference probes need the loss alone.
+    Returns (loss, encoder state, per-position decoder steps): the loss
+    plus everything the backward pass reads. Finite-difference probes
+    need the loss alone.
     """
-    value = _check_prior(prior)
-    p = model.params
-    config = model.config
-    if len(probe) > config.max_len:
-        raise InfusionError(
-            f"probe length {len(probe)} exceeds max_len {config.max_len}")
-    if any(not 0 <= t < config.vocab_size for t in probe):
-        raise InfusionError("probe tokens must lie in the vocabulary")
-
-    patches = _flatten_patches(images, config)
-    state = _encode(model, patches, value)
-    Ln = state["Ln"]
-    Kd = Ln @ p["W_dk"]
-    Vd = Ln @ p["W_dv"]
-    steps = [_decoder_step(model, Kd, Vd, token, position)
-             for position, token in enumerate(probe)]
-    loss = scale * math.fsum(float(step["logits"].sum()) for step in steps)
-    state.update(Kd=Kd, Vd=Vd)
+    # The probe loss has no baseline path: a prior of None is refused.
+    state = _encode(model, images, _check_prior(prior))
+    steps = [_decoder_step(model, state["Kd"], state["Vd"], token, position)
+             for position, token in enumerate(PROBE)]
+    loss = math.fsum(float(step["logits"].sum()) for step in steps)
     return loss, state, steps
 
 
 def teacher_forced_loss(model: ToyModel, images: ImagePair, prior: float,
-                        probe: tuple[int, ...] = DEFAULT_PROBE,
-                        scale: float = 1.0,
                         ) -> tuple[float, dict[str, np.ndarray], float]:
     """Scalar probe loss with analytic gradients.
 
-    The loss is ``scale`` times the sum of all pre-softmax decoder
-    outputs along a fixed teacher-forced token sequence, which keeps it
-    smooth in every parameter (greedy argmax choices would not be).
+    The loss is the sum of all pre-softmax decoder outputs along the
+    teacher-forced token sequence ``PROBE``, which keeps it smooth in
+    every parameter (greedy argmax choices would not be).
     Returns (loss, weight gradients, d loss / d prior).
     """
-    loss, state, steps = _probe_forward(model, images, prior, probe, scale)
+    loss, state, steps = _probe_forward(model, images, prior)
     p = model.params
-    config = model.config
     patches, Ln = state["patches"], state["Ln"]
     Kd, Vd = state["Kd"], state["Vd"]
 
     grads = {name: np.zeros_like(array) for name, array in p.items()}
     d_prior = 0.0
-    sqrt_f = math.sqrt(config.latent_dim)
-    sqrt_d = math.sqrt(config.embed_dim)
+    sqrt_f = math.sqrt(LATENT_DIM)
+    sqrt_d = math.sqrt(EMBED_DIM)
 
     dKd = np.zeros_like(Kd)
     dVd = np.zeros_like(Vd)
-    for position, token in enumerate(probe):
-        step = steps[position]
-        dlogits = np.full(config.vocab_size, scale)
+    dlogits = np.ones(VOCAB_SIZE)
+    for step, token in zip(steps, PROBE):
         grads["W_out"] += np.outer(step["z"], dlogits)
         dz = p["W_out"] @ dlogits
         grads["b_g2"] += dz
@@ -441,8 +394,7 @@ def _rel_error(analytic: float, numeric: float) -> float:
 
 
 def grad_check(model: ToyModel, images: ImagePair, prior: float,
-               step: float = 1e-4, probe: tuple[int, ...] = DEFAULT_PROBE,
-               sample_seed: int = 0) -> GradCheckReport:
+               step: float = 1e-4, sample_seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     One entry of every parameter array is sampled (seeded, so the choice
@@ -450,12 +402,12 @@ def grad_check(model: ToyModel, images: ImagePair, prior: float,
     take one backward pass; each finite-difference probe runs forward
     only.
     """
-    _, grads, d_prior = teacher_forced_loss(model, images, prior, probe)
+    _, grads, d_prior = teacher_forced_loss(model, images, prior)
     rng = np.random.default_rng(sample_seed)
     per_param: dict[str, float] = {}
 
     def loss_at(prior_value: float) -> float:
-        return _probe_forward(model, images, prior_value, probe, 1.0)[0]
+        return _probe_forward(model, images, prior_value)[0]
 
     for name, array in model.params.items():
         flat_index = int(rng.integers(array.size))

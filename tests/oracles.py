@@ -1,14 +1,17 @@
 """Plain reference implementations the fast paths are held to.
 
 ``reference_split_sentences`` is the character loop that found sentence
-boundaries before one regex did.  ``reference_make_report`` and
-``reference_label`` are the per-record chain that ``label_corpus`` ran on
-every record before it screened findings sections and sentences for
-keyword surfaces: findings, sentences by the loop, tokens of every
-sentence, then the labeler's stages as they ran before the rule set
-indexed keywords and template literals.  ``reference_extract_mentions``
-sorts each token's candidate keywords; ``reference_classify_one`` tries
-every negation template, then every prior template, in file order.
+boundaries before one regex did. It keeps its own copy of the guard that
+holds a period after an initial or an abbreviation inside the sentence,
+so a faster guard in ``corpus`` is checked against this one.
+``reference_make_report`` and ``reference_label`` are the per-record
+chain that ``label_corpus`` ran on every record before it screened
+findings sections and sentences for keyword surfaces: findings,
+sentences by the loop, tokens of every sentence, then the labeler's
+stages as they ran before the rule set indexed keywords and template
+literals.  ``reference_extract_mentions`` sorts each token's candidate
+keywords; ``reference_classify_one`` tries every negation template, then
+every prior template, in file order.
 
 ``reference_grad_check`` is the finite-difference check as it ran when
 every probe called ``teacher_forced_loss``, backward pass included, and
@@ -17,11 +20,23 @@ kept only the loss.
 
 import numpy as np
 
-from radpriors.corpus import Report, _guarded_period, extract_findings, tokenize
-from radpriors.infusion import (DEFAULT_PROBE, GradCheckReport, _rel_error,
-                                teacher_forced_loss)
+from radpriors.corpus import Report, extract_findings, tokenize
+from radpriors.infusion import GradCheckReport, _rel_error, teacher_forced_loss
 from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
                                Verdict)
+
+
+ABBREVIATIONS = {"dr", "mr", "mrs", "ms", "vs", "a.m", "p.m", "e.g", "i.e"}
+
+
+def reference_guarded_period(text, i):
+    j = i
+    while j > 0 and not text[j - 1].isspace():
+        j -= 1
+    word = text[j:i].lower()
+    if len(word) == 1 and word.isalpha():
+        return True
+    return word in ABBREVIATIONS
 
 
 def reference_split_sentences(text):
@@ -33,7 +48,7 @@ def reference_split_sentences(text):
             continue
         if i + 1 < n and not text[i + 1].isspace():
             continue
-        if ch == "." and _guarded_period(text, i):
+        if ch == "." and reference_guarded_period(text, i):
             continue
         sentence = text[start:i + 1].strip()
         if sentence:
@@ -118,15 +133,14 @@ def reference_label_corpus(records, rules, text_source="text"):
             for record in records]
 
 
-def reference_grad_check(model, images, prior, step=1e-4, probe=DEFAULT_PROBE,
-                         sample_seed=0):
-    loss, grads, d_prior = teacher_forced_loss(model, images, prior, probe)
+def reference_grad_check(model, images, prior, step=1e-4, sample_seed=0):
+    loss, grads, d_prior = teacher_forced_loss(model, images, prior)
     del loss
     rng = np.random.default_rng(sample_seed)
     per_param = {}
 
     def loss_at(prior_value):
-        value, _, _ = teacher_forced_loss(model, images, prior_value, probe)
+        value, _, _ = teacher_forced_loss(model, images, prior_value)
         return value
 
     for name, array in model.params.items():

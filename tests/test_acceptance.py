@@ -17,7 +17,6 @@ import pytest
 from radpriors.cli import pipeline_label_then_eval
 from radpriors.corpus import load_corpus, make_report, tokenize
 from radpriors.infusion import (
-    ToyConfig,
     ToyModel,
     demo_image_pair,
     forward,
@@ -215,14 +214,14 @@ class TestAcceptance:
             assert np.array_equal(infuse(np.array([[0.5, -0.5]]), 1.0),
                                   np.array([[1.5, 0.5]]))
 
-            model = ToyModel(ToyConfig())
+            model = ToyModel()
             images = demo_image_pair(17)
             count_before = model.parameter_count()
             forward(model, images, 1.0)
             baseline = forward(model, images, None)
             assert model.parameter_count() == count_before
             assert model.parameter_count() == \
-                ToyModel(ToyConfig()).parameter_count()
+                ToyModel().parameter_count()
 
             plain = forward(model, images, 0.0)
             assert plain.tokens == baseline.tokens
@@ -232,7 +231,7 @@ class TestAcceptance:
 
     def test_08_gradient_check(self, capsys):
         with check(capsys, 8, "gradient check", 10.0):
-            model = ToyModel(ToyConfig())
+            model = ToyModel()
             for seed in (17, 1, 2, 3, 4):
                 report = grad_check(model, demo_image_pair(seed), 1.0)
                 assert report.max_rel_error < 1e-4
@@ -241,7 +240,7 @@ class TestAcceptance:
 
     def test_09_prior_changes_decoding(self, capsys):
         with check(capsys, 9, "prior flips decoded sequence", 5.0):
-            model = ToyModel(ToyConfig())
+            model = ToyModel()
             images = demo_image_pair(17)
             without = forward(model, images, 0.0)
             with_prior = forward(model, images, 1.0)

@@ -260,6 +260,24 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=f"line {line}: field 'label'"):
             load_corpus(path, format="csv")
 
+    def test_csv_row_longer_than_header_is_refused(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text("id,text\nr0,Clear.\nr1,Stable, compared to prior "
+                        "exam.\n", encoding="utf-8")
+        with pytest.raises(CorpusError,
+                           match="line 3: row has 3 cells but the header "
+                                 "names 2"):
+            load_corpus(path, format="csv")
+
+    def test_csv_row_shorter_than_header_lacks_optional_fields(self,
+                                                               tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text("id,text,reference,label\nr1,Stable.\n",
+                        encoding="utf-8")
+        record = load_corpus(path, format="csv")[0]
+        assert (record.text, record.reference, record.gold_label) == \
+            ("Stable.", None, None)
+
     def test_csv_load(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text(
