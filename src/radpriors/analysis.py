@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -38,8 +37,7 @@ class ScoreRow(NamedTuple):
     length: int
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
 
@@ -47,8 +45,7 @@ class Histogram:
         return {"bin_edges": list(self.bin_edges), "counts": list(self.counts)}
 
 
-@dataclass(frozen=True)
-class StratumStats:
+class StratumStats(NamedTuple):
     count: int
     mean: float
     std: float
@@ -69,8 +66,7 @@ class StratumStats:
         }
 
 
-@dataclass(frozen=True)
-class StratifiedSummary:
+class StratifiedSummary(NamedTuple):
     negative: StratumStats | None
     positive: StratumStats | None
     bins: int

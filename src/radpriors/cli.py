@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from ._io import DataError, atomic_write_text
@@ -48,8 +46,7 @@ def _metric_value(row, metric: str) -> float:
     return getattr(row, metric)
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """Everything the analyze pipeline produces in one pass."""
 
     metrics: MetricReport
@@ -79,10 +76,10 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
     rules = rules or default_rules()
     labels, counts = label_corpus(records, rules, text_source="candidate")
     metrics = evaluate_corpus(records)
-    metrics.per_report = [
-        dataclasses.replace(row, label=label.value)
+    metrics = metrics._replace(per_report=[
+        row._replace(label=label.value)
         for row, label in zip(metrics.per_report, labels)
-    ]
+    ])
     rows = [ScoreRow(score=_metric_value(row, metric), label=row.label,
                      length=row.candidate_length)
             for row in metrics.per_report]
@@ -104,15 +101,16 @@ def _cmd_label(args: argparse.Namespace) -> int:
     records = load_corpus(args.infile, format=args.format)
     rules = _load_ruleset(args.rules)
     labels, counts = label_corpus(records, rules, text_source=args.label_on)
+    # One encoder for every line: json.dumps would build one per call.
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     lines = []
     for record, label in zip(records, labels):
         evidence = [{"sentence_index": item.mention.sentence_index,
                      "span": list(item.match_span),
                      "rule": item.fired_rule}
                     for item in label.evidence]
-        lines.append(json.dumps(
-            {"id": record.id, "label": label.value, "evidence": evidence},
-            ensure_ascii=False, sort_keys=True))
+        lines.append(encode(
+            {"id": record.id, "label": label.value, "evidence": evidence}))
     atomic_write_text(args.out, "".join(line + "\n" for line in lines))
     summary = json.dumps(counts.to_dict(), sort_keys=True)
     if args.summary:
@@ -140,10 +138,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     records = load_corpus(args.infile, format=args.format)
     metrics = evaluate_corpus(records)
     if args.gold_labels:
-        metrics.per_report = [
-            dataclasses.replace(row, label=record.gold_label)
+        metrics = metrics._replace(per_report=[
+            row._replace(label=record.gold_label)
             for row, record in zip(metrics.per_report, records)
-        ]
+        ])
     atomic_write_text(args.out,
                   json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
     if args.csv:

@@ -16,8 +16,8 @@ import json
 import re
 import string
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from ._io import DataError
 
@@ -153,8 +153,7 @@ def tokenize(sentence: str) -> list[str]:
     return tokens
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """One normalized text: its findings' sentences and their tokens."""
 
     id: str
@@ -169,8 +168,7 @@ def make_report(report_id: str, raw_text: str) -> Report:
                   tokens=[tokenize(s) for s in sentences])
 
 
-@dataclass
-class CorpusRecord:
+class CorpusRecord(NamedTuple):
     """One corpus row: its raw fields, as loaded."""
 
     id: str

@@ -24,7 +24,7 @@ give bitwise-equal weights and outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ class InfusionError(DataError):
     """Bad model input: wrong shapes, non-finite values, bad prior."""
 
 
-@dataclass(frozen=True)
-class ImagePair:
+class ImagePair(NamedTuple):
     """A frontal and lateral view, each a square float image."""
 
     frontal: np.ndarray
@@ -235,8 +234,7 @@ def _decoder_step(model: ToyModel, Kd: np.ndarray, Vd: np.ndarray,
             "logits": logits}
 
 
-@dataclass
-class ForwardResult:
+class ForwardResult(NamedTuple):
     """Decoded tokens plus the latents before and after infusion."""
 
     tokens: list[int]
@@ -378,8 +376,7 @@ def teacher_forced_loss(model: ToyModel, images: ImagePair, prior: float,
     return loss, grads, d_prior
 
 
-@dataclass
-class GradCheckReport:
+class GradCheckReport(NamedTuple):
     """Analytic vs finite-difference agreement for sampled parameters."""
 
     max_rel_error: float

@@ -22,7 +22,7 @@ tried only against the templates whose literals its sentence holds
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import (CorpusError, CorpusRecord, Report, extract_findings,
                      split_sentences, tokenize)
@@ -50,8 +50,7 @@ class Verdict(enum.Enum):
     IRRELEVANT = "irrelevant"
 
 
-@dataclass(frozen=True)
-class Mention:
+class Mention(NamedTuple):
     """A keyword occurrence: which token(s), in which sentence."""
 
     keyword: KeywordEntry
@@ -60,8 +59,7 @@ class Mention:
     surface: str
 
 
-@dataclass(frozen=True)
-class ClassifiedMention:
+class ClassifiedMention(NamedTuple):
     """A mention with its verdict and, when a pattern fired, the match.
 
     ``match_span`` is the full token extent the fired template consumed,
@@ -74,16 +72,14 @@ class ClassifiedMention:
     match_span: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class PriorLabel:
+class PriorLabel(NamedTuple):
     """Binary report label with the prior-expression mentions as evidence."""
 
     value: int
     evidence: tuple[ClassifiedMention, ...]
 
 
-@dataclass(frozen=True)
-class LabelCounts:
+class LabelCounts(NamedTuple):
     negative: int
     positive: int
     total: int
@@ -93,7 +89,7 @@ class LabelCounts:
                 "total": self.total}
 
 
-# The label of every report without a mention; frozen, so it is shared.
+# The label of every report without a mention; immutable, so it is shared.
 _NO_MENTIONS = PriorLabel(value=0, evidence=())
 
 

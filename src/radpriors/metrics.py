@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
 from typing import NamedTuple
@@ -244,8 +243,7 @@ def cider(candidates: list[list[str]],
     return scores.pair_cider, scores.corpus_cider
 
 
-@dataclass(frozen=True)
-class ReportScores:
+class ReportScores(NamedTuple):
     id: str
     bleu: tuple[float, float, float, float]
     rouge_l: float
@@ -265,8 +263,7 @@ class ReportScores:
         return row
 
 
-@dataclass(frozen=True)
-class CorpusScores:
+class CorpusScores(NamedTuple):
     bleu: tuple[float, float, float, float]
     rouge_l: float
     cider: float
@@ -279,8 +276,7 @@ class CorpusScores:
         return row
 
 
-@dataclass
-class MetricReport:
+class MetricReport(NamedTuple):
     per_report: list[ReportScores]
     corpus: CorpusScores
 

@@ -23,9 +23,9 @@ by marker patterns (see the labeler module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from ._io import DataError
 
@@ -55,8 +55,7 @@ class RuleFileError(DataError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class KeywordEntry:
+class KeywordEntry(NamedTuple):
     """A keyword surface form and its match mode.
 
     In stem mode the surface matches any token it prefixes, so the entry
@@ -73,21 +72,18 @@ class KeywordEntry:
 
 
 # Template atoms. A literal with several choices encodes alternation.
-@dataclass(frozen=True)
-class _Literal:
+class _Literal(NamedTuple):
     choices: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class _Gap:
+class _Gap(NamedTuple):
     max: int
 
 
 _Atom = _Literal | _Gap
 
 
-@dataclass(frozen=True)
-class RuleTemplate:
+class RuleTemplate(NamedTuple):
     """A compiled template: the atoms on each side of the mention slot.
 
     Both sides are stored nearest-the-mention first, so ``pre`` holds the
@@ -181,35 +177,37 @@ def _parse_atom(rule_id: str, part: str, line: int | None) -> _Atom:
     return _Literal(choices)
 
 
-@dataclass
 class RuleSet:
-    """Parsed rules: keywords, patterns, and the change-verb subset."""
+    """Parsed rules: keywords, patterns, and the change-verb subset.
 
-    keywords: list[KeywordEntry]
-    negation_patterns: list[RuleTemplate]
-    prior_patterns: list[RuleTemplate]
-    change_verbs: frozenset[str]
-    version: str = "0"
-    # Built from ``keywords`` once; the rule set is not edited after use.
-    _by_precedence: list[KeywordEntry] = field(
-        init=False, repr=False, compare=False)
-    _surfaces: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _keyword_memo: dict[str, KeywordEntry | None] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
-    # The literal index: one bit per distinct literal atom of the templates,
-    # each token's bits, and the bits each template needs, in file order.
-    _literal_bits: dict[str, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
-    _needed_bits: tuple[list[tuple[RuleTemplate, int]], ...] = field(
-        init=False, repr=False, compare=False)
-    _templates_memo: dict[int, tuple[tuple[RuleTemplate, ...], ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
+    Equality and ``repr`` cover the five constructor fields only. A rule
+    set is not hashable: defining ``__eq__`` sets ``__hash__`` to None.
+    """
 
-    def __post_init__(self) -> None:
+    _FIELDS = ("keywords", "negation_patterns", "prior_patterns",
+               "change_verbs", "version")
+
+    def __init__(self, keywords: list[KeywordEntry],
+                 negation_patterns: list[RuleTemplate],
+                 prior_patterns: list[RuleTemplate],
+                 change_verbs: frozenset[str], version: str = "0") -> None:
+        self.keywords = keywords
+        self.negation_patterns = negation_patterns
+        self.prior_patterns = prior_patterns
+        self.change_verbs = change_verbs
+        self.version = version
+        # Built from the fields once; the rule set is not edited after use.
         # A stable sort, so surfaces of equal length keep file order.
-        self._by_precedence = sorted(self.keywords,
+        self._by_precedence = sorted(keywords,
                                      key=lambda entry: -len(entry.surface))
-        self._surfaces = tuple(entry.surface for entry in self.keywords)
+        self._surfaces = tuple(entry.surface for entry in keywords)
+        self._keyword_memo: dict[str, KeywordEntry | None] = {}
+        # The literal index: one bit per distinct literal atom of the
+        # templates, each token's bits, and the bits each template needs,
+        # in file order.
+        self._literal_bits: dict[str, int] = {}
+        self._templates_memo: dict[int, tuple[tuple[RuleTemplate, ...],
+                                              ...]] = {}
         atom_bits: dict[_Literal, int] = {}
 
         def needed(template: RuleTemplate) -> int:
@@ -225,7 +223,18 @@ class RuleSet:
 
         self._needed_bits = tuple(
             [(template, needed(template)) for template in patterns]
-            for patterns in (self.negation_patterns, self.prior_patterns))
+            for patterns in (negation_patterns, prior_patterns))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self._FIELDS)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._FIELDS)
+        return f"RuleSet({fields})"
 
     def may_mention(self, text: str) -> bool:
         """False when no token of ``text``, a sentence or a section, can be

@@ -235,19 +235,22 @@ assert "numpy" not in sys.modules, "numpy was loaded"
 """
 
 # Runs the code in argv[1] with argv[2:] as its argv, then prints the
-# numpy and radpriors modules it left in sys.modules as the last line.
+# radpriors modules and the costly ones it left in sys.modules as the last
+# line: numpy, and dataclasses with the inspect it imports.
 _LOADED_AFTER = """
 import json, sys
 code, sys.argv = sys.argv[1], sys.argv[1:]
 exec(code)
 print(json.dumps(sorted(name for name in sys.modules
-                        if name == "numpy" or name.startswith("radpriors"))))
+                        if name in ("numpy", "dataclasses", "inspect")
+                        or name.startswith("radpriors"))))
 """
 _RUN_CLI = "from radpriors.cli import run; assert run(sys.argv[1:]) == 0"
 
 
 def _loaded_after(code, *argv):
-    """Module names loaded by ``code`` run in a fresh interpreter."""
+    """The radpriors, numpy, dataclasses and inspect modules loaded by
+    ``code`` run in a fresh interpreter."""
     src = str(Path(radpriors.__file__).resolve().parents[1])
     completed = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER, code, *map(str, argv)],
@@ -302,7 +305,8 @@ class TestImports:
         expected = {"radpriors", "radpriors._io", "radpriors.cli",
                     *(f"radpriors.{name}" for name in modules)}
         if "infusion" in modules:
-            expected.add("numpy")
+            # numpy imports inspect itself.
+            expected |= {"numpy", "inspect"}
         assert loaded == expected
 
 

@@ -1,7 +1,5 @@
 """Prior infusion on the deterministic toy encoder-decoder."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -191,9 +189,8 @@ class TestGradients:
                             sample_seed=sample_seed)
         expected = reference_grad_check(model, images, prior, step=step,
                                         sample_seed=sample_seed)
-        for field in dataclasses.fields(report):
-            assert getattr(report, field.name) == \
-                getattr(expected, field.name), field.name
+        for field in report._fields:
+            assert getattr(report, field) == getattr(expected, field), field
 
     def test_grad_check_runs_one_backward_pass(self, model, images,
                                                monkeypatch):
