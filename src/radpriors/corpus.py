@@ -243,6 +243,10 @@ def _load_csv(path: Path) -> list[CorpusRecord]:
             raise CorpusError(
                 f"missing required column(s): {', '.join(sorted(missing))}",
                 line=1)
+        # A repeated column would silently keep its last cell.
+        for name in ("id", "text", *_OPTIONAL_FIELDS):
+            if header.count(name) > 1:
+                raise CorpusError(f"column {name!r} is repeated", line=1)
         # A quoted cell may span lines: a record starts on the line after
         # the previous row ended.  Blank lines hold no record.
         start = reader.line_num + 1

@@ -9,14 +9,23 @@ Corpus BLEU aggregates matched and possible n-gram counts over the whole
 corpus before taking precisions; it is not a mean of per-report scores.
 Per-report BLEU smooths zero-count orders by 1/(2 * candidate length) so
 individual scores stay finite for stratified analysis.
+
+Scoring works on token ids, not strings: :func:`evaluate_corpus` maps
+every token to an id through one vocabulary per corpus as it tokenizes.
+BLEU and CIDEr then run one n-gram order at a time on int gram keys,
+counting each candidate and each reference once per order; a
+reference's Counter gives both its share of the document frequency and
+its TF-IDF vector. ROUGE-L takes the same ids, since an LCS length does
+not change under a one-to-one relabeling.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import repeat
-from operator import mul
+from collections import Counter, defaultdict
+from collections.abc import Hashable, Sequence
+from itertools import chain, count, repeat
+from operator import add, mul
 from typing import NamedTuple
 
 from ._io import DataError
@@ -51,7 +60,11 @@ def _ngrams(tokens: list[str], n: int):
 
 
 def ngram_counts(tokens: list[str], n: int) -> Counter:
-    """Count the n-grams (n >= 1) of a token list as a multiset."""
+    """Count the n-grams (n >= 1) of a token list as a multiset.
+
+    A public helper: the scorer does not call it, and counts int gram
+    keys instead (see :func:`_score_pairs`).
+    """
     if n < 1:
         raise EvaluationError(f"n-gram order must be at least 1, got {n}")
     return Counter(_ngrams(tokens, n))
@@ -74,10 +87,10 @@ def bleu(candidates: list[list[str]], references: list[list[str]],
     """
     if not 1 <= n <= MAX_ORDER:
         raise EvaluationError(f"BLEU order must be in 1..{MAX_ORDER}, got {n}")
-    return _score_pairs(candidates, references).corpus_bleu[n - 1]
+    return _score_tokens(candidates, references).corpus_bleu[n - 1]
 
 
-def lcs_length(a: list[str], b: list[str]) -> int:
+def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Length of the longest common subsequence of two token lists.
 
     Bit-parallel (Allison & Dix 1986; Hyyrö 2004): bit i of ``v`` stands
@@ -86,7 +99,7 @@ def lcs_length(a: list[str], b: list[str]) -> int:
     operations on Python ints, so the cost is O(|a| * ceil(|b| / w))
     word operations for machine words of w bits.
     """
-    masks: dict[str, int] = {}
+    masks: dict[Hashable, int] = {}
     for i, token in enumerate(b):
         masks[token] = masks.get(token, 0) | 1 << i
     full = (1 << len(b)) - 1
@@ -99,9 +112,9 @@ def lcs_length(a: list[str], b: list[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_l(candidate: list[str], reference: list[str],
+def rouge_l(candidate: Sequence[Hashable], reference: Sequence[Hashable],
             beta: float = ROUGE_BETA) -> float:
-    """ROUGE-L F-measure. Empty candidate or reference scores 0."""
+    """ROUGE-L F-measure of tokens or token ids. Empty sides score 0."""
     if not candidate or not reference:
         return 0.0
     lcs = lcs_length(candidate, reference)
@@ -143,17 +156,6 @@ def _cosine(u: list[float], v_at_u: list[float], v: list[float],
     return min(dot / (norm_u * norm_v), 1.0)
 
 
-def _reference_idf(references: list[list[str]], n: int) -> dict:
-    """log(N / df) per n-gram, df clamped to 1 for unseen grams."""
-    total = len(references)
-    document_frequency: Counter = Counter()
-    for reference in references:
-        document_frequency.update(set(_ngrams(reference, n)))
-    log_total = math.log(total)
-    return {gram: log_total - math.log(df)
-            for gram, df in document_frequency.items()}
-
-
 class _PassScores(NamedTuple):
     pair_bleu: list[tuple[float, float, float, float]]
     pair_cider: list[float]
@@ -161,13 +163,73 @@ class _PassScores(NamedTuple):
     corpus_cider: float
 
 
-def _score_pairs(candidates: list[list[str]],
-                 references: list[list[str]]) -> _PassScores:
-    """Smoothed and corpus BLEU-1..4 plus CIDEr in one pass over the pairs.
+def _intern(tokens: list[str], vocabulary: defaultdict) -> list[int]:
+    """``tokens`` as ids; a token new to ``vocabulary`` takes the next id."""
+    return list(map(vocabulary.__getitem__, tokens))
 
-    Each pair's n-grams are counted once per order on each side, and
-    every score derives from those Counters. They are dropped before the
-    next pair, so memory holds one pair's Counters plus the IDF tables.
+
+def _score_tokens(candidates: list[list[str]],
+                  references: list[list[str]]) -> _PassScores:
+    """:func:`_score_pairs` on token lists interned through one vocabulary."""
+    vocabulary = defaultdict(count().__next__)
+    candidate_ids = [_intern(tokens, vocabulary) for tokens in candidates]
+    reference_ids = [_intern(tokens, vocabulary) for tokens in references]
+    return _score_pairs(candidate_ids, reference_ids, len(vocabulary))
+
+
+def _next_order_keys(keys: list[list[int]], texts: list[list[int]], n: int,
+                     width: int) -> None:
+    """Replace each text's order-(n-1) gram keys by its order-n keys.
+
+    A gram's key is its ids read as a number in base ``width``, so the
+    key of the n-gram at i is the (n-1)-gram key at i times ``width``
+    plus the id at i + n - 1. Each list is replaced in place, so the
+    previous order's keys are freed text by text.
+    """
+    for i, ids in enumerate(texts):
+        # map stops when ids[n - 1:] runs out, past the last n-gram.
+        keys[i] = list(map(add, map(mul, keys[i], repeat(width)), ids[n - 1:]))
+
+
+def _score_order(candidate_keys: list[list[int]],
+                 reference_keys: list[list[int]],
+                 idf_by_df: list[float]) -> tuple[list[int], list[float]]:
+    """Each pair's clipped matches and TF-IDF cosine at one n-gram order.
+
+    Each reference's Counter serves both the document frequency, as the
+    set of its keys, and the pair's reference vector.
+    """
+    reference_counts = list(map(Counter, reference_keys))
+    document_frequency = Counter(chain.from_iterable(reference_counts))
+    idf = dict(zip(document_frequency,
+                   map(idf_by_df.__getitem__, document_frequency.values())))
+    unseen = idf_by_df[0]
+    matches = []
+    similarities = []
+    for keys, ref in zip(candidate_keys, reference_counts):
+        cand = Counter(keys)
+        # The reference's count at each candidate gram, 0 if absent.
+        ref_at_cand = list(map(ref.get, cand, repeat(0)))
+        matches.append(sum(map(min, cand.values(), ref_at_cand)))
+        idf_at_cand = list(map(idf.get, cand, repeat(unseen)))
+        similarities.append(_cosine(
+            list(map(mul, cand.values(), idf_at_cand)),
+            list(map(mul, ref_at_cand, idf_at_cand)),
+            list(map(mul, ref.values(), map(idf.__getitem__, ref))),
+            cand.keys() == ref.keys()))
+    return matches, similarities
+
+
+def _score_pairs(candidates: list[list[int]], references: list[list[int]],
+                 width: int) -> _PassScores:
+    """Smoothed and corpus BLEU-1..4 plus CIDEr, one n-gram order at a time.
+
+    The texts are token ids below ``width``. Each order counts every
+    candidate and every reference once, on int gram keys; only that
+    order's keys and Counters are alive. Each pair keeps its clipped
+    matches and cosine per order, and the scores are combined after the
+    last order in the same order of operations as the recount reference
+    in the tests, so they equal it bit for bit.
     """
     if len(candidates) != len(references):
         raise EvaluationError(
@@ -175,49 +237,47 @@ def _score_pairs(candidates: list[list[str]],
     if not candidates:
         raise EvaluationError("cannot score an empty candidate set")
     log_total = math.log(len(references))
-    idf_by_order = [_reference_idf(references, n)
-                    for n in range(1, MAX_ORDER + 1)]
-    matched = [0] * MAX_ORDER
-    possible = [0] * MAX_ORDER
-    candidate_length = 0
-    reference_length = 0
+    # Entry df holds log N - log df; entry 0, for grams absent from every
+    # reference, holds the df=1 fallback weight log N.
+    idf_by_df = [log_total] + [log_total - math.log(df)
+                               for df in range(1, len(references) + 1)]
+    # Order-1 keys are the ids. The outer lists are copied, since each
+    # order replaces their items.
+    candidate_keys = list(candidates)
+    reference_keys = list(references)
+    matched_by_order = []
+    similarities_by_order = []
+    for n in range(1, MAX_ORDER + 1):
+        if n > 1:
+            _next_order_keys(candidate_keys, candidates, n, width)
+            _next_order_keys(reference_keys, references, n, width)
+        matches, similarities = _score_order(candidate_keys, reference_keys,
+                                             idf_by_df)
+        matched_by_order.append(matches)
+        similarities_by_order.append(similarities)
+
+    candidate_lengths = list(map(len, candidates))
     pair_bleu = []
-    pair_cider = []
-    for candidate, reference in zip(candidates, references):
-        c = len(candidate)
-        candidate_length += c
-        reference_length += len(reference)
+    for c, reference, matches in zip(candidate_lengths, references,
+                                     zip(*matched_by_order)):
+        if not c:
+            pair_bleu.append((0.0,) * MAX_ORDER)
+            continue
         penalty = _brevity_penalty(c, len(reference))
         log_sum = 0.0
         smoothed = []
-        similarities = []
-        for n, idf in enumerate(idf_by_order, start=1):
-            cand = ngram_counts(candidate, n)
-            ref = ngram_counts(reference, n)
-            # The reference's count at each candidate gram, 0 if absent.
-            ref_at_cand = list(map(ref.get, cand, repeat(0)))
-            m = sum(map(min, cand.values(), ref_at_cand))
-            p = max(c - n + 1, 0)
-            matched[n - 1] += m
-            possible[n - 1] += p
-            if c:
-                log_sum += math.log(m / p if m else 1.0 / (2.0 * c))
-                smoothed.append(penalty * math.exp(log_sum / n))
-            else:
-                smoothed.append(0.0)
-            # TF-IDF weights; grams absent from every reference get the
-            # df=1 fallback weight log(N).
-            idf_at_cand = list(map(idf.get, cand, repeat(log_total)))
-            similarities.append(_cosine(
-                list(map(mul, cand.values(), idf_at_cand)),
-                list(map(mul, ref_at_cand, idf_at_cand)),
-                list(map(mul, ref.values(),
-                         map(idf.get, ref, repeat(log_total)))),
-                cand.keys() == ref.keys()))
+        for n, m in enumerate(matches, start=1):
+            log_sum += math.log(m / (c - n + 1) if m else 1.0 / (2.0 * c))
+            smoothed.append(penalty * math.exp(log_sum / n))
         pair_bleu.append(tuple(smoothed))
-        pair_cider.append(CIDER_SCALE * math.fsum(similarities) / MAX_ORDER)
+    pair_cider = [CIDER_SCALE * math.fsum(similarities) / MAX_ORDER
+                  for similarities in zip(*similarities_by_order)]
 
-    corpus_penalty = _brevity_penalty(candidate_length, reference_length)
+    matched = list(map(sum, matched_by_order))
+    possible = [sum(max(c - n + 1, 0) for c in candidate_lengths)
+                for n in range(1, MAX_ORDER + 1)]
+    corpus_penalty = _brevity_penalty(sum(candidate_lengths),
+                                      sum(map(len, references)))
     corpus_bleu = []
     for n in range(1, MAX_ORDER + 1):
         if 0 in matched[:n]:
@@ -239,7 +299,7 @@ def cider(candidates: list[list[str]],
     corpus has IDF log(1) = 0 everywhere and scores 0 by the zero-norm
     guard rather than erroring.
     """
-    scores = _score_pairs(candidates, references)
+    scores = _score_tokens(candidates, references)
     return scores.pair_cider, scores.corpus_cider
 
 
@@ -293,6 +353,9 @@ def evaluate_corpus(records: list[CorpusRecord]) -> MetricReport:
     """
     if not records:
         raise EvaluationError("cannot score an empty corpus")
+    # Only the id lists are kept, so each text's token strings are freed
+    # as soon as it is interned.
+    vocabulary = defaultdict(count().__next__)
     candidates = []
     references = []
     for record in records:
@@ -300,10 +363,10 @@ def evaluate_corpus(records: list[CorpusRecord]) -> MetricReport:
             raise EvaluationError(f"record {record.id!r} has no candidate")
         if record.reference is None:
             raise EvaluationError(f"record {record.id!r} has no reference")
-        candidates.append(tokenize(record.candidate))
-        references.append(tokenize(record.reference))
+        candidates.append(_intern(tokenize(record.candidate), vocabulary))
+        references.append(_intern(tokenize(record.reference), vocabulary))
 
-    scores = _score_pairs(candidates, references)
+    scores = _score_pairs(candidates, references, len(vocabulary))
     per_report = [
         ReportScores(id=record.id, bleu=pair_bleu,
                      rouge_l=rouge_l(candidate, reference), cider=pair_cider,

@@ -260,6 +260,23 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=f"line {line}: field 'label'"):
             load_corpus(path, format="csv")
 
+    @pytest.mark.parametrize("column",
+                             ["id", "text", "reference", "candidate", "label"])
+    def test_csv_repeated_column_is_refused(self, tmp_path, column):
+        header = ["id", "text", "reference", "candidate", "label", column]
+        path = tmp_path / "corpus.csv"
+        path.write_text(",".join(header) + "\nr1,Stable compared to prior "
+                        "exam.,Clear.,Clear.,0,Clear.\n", encoding="utf-8")
+        with pytest.raises(CorpusError,
+                           match=f"line 1: column '{column}' is repeated"):
+            load_corpus(path, format="csv")
+
+    def test_csv_repeated_unread_column_is_ignored(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text("id,text,note,note\nr1,Clear.,a,b\n",
+                        encoding="utf-8")
+        assert load_corpus(path, format="csv")[0].text == "Clear."
+
     def test_csv_row_longer_than_header_is_refused(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text("id,text\nr0,Clear.\nr1,Stable, compared to prior "

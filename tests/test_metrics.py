@@ -181,6 +181,12 @@ def reference_cider(candidates, references):
 # A four-word vocabulary makes repeated n-grams common.
 PAIR_TOKENS = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=12)
 PAIRS = st.lists(st.tuples(PAIR_TOKENS, PAIR_TOKENS), min_size=1, max_size=6)
+# Fifty words and longer texts make most grams unique, as in reports, and
+# the scorer's int gram keys run to many digits.
+WIDE_TOKENS = st.lists(st.sampled_from([f"w{i}" for i in range(50)]),
+                       max_size=80)
+WIDE_PAIRS = st.lists(st.tuples(WIDE_TOKENS, WIDE_TOKENS), min_size=1,
+                      max_size=6)
 
 
 def _lcs_side(vocab):
@@ -212,9 +218,36 @@ class TestLcsEqualsReference:
         assert lcs_length(a, b) == lcs_length(b, a)
 
 
+def assert_equals_recount_reference(pairs):
+    records = [CorpusRecord(id=f"r{i}", text="x",
+                            candidate=" ".join(candidate),
+                            reference=" ".join(reference))
+               for i, (candidate, reference) in enumerate(pairs)]
+    candidates = [candidate for candidate, _ in pairs]
+    references = [reference for _, reference in pairs]
+    report = evaluate_corpus(records)
+    want_cider, want_mean = reference_cider(candidates, references)
+    for row, candidate, reference, cider_score in zip(
+            report.per_report, candidates, references, want_cider):
+        assert row.bleu == tuple(
+            reference_smoothed_bleu(candidate, reference, n)
+            for n in range(1, 5))
+        assert row.cider == cider_score
+    assert report.corpus.bleu == tuple(
+        reference_bleu(candidates, references, n) for n in range(1, 5))
+    assert report.corpus.cider == want_mean
+
+
 class TestSharedPassMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(PAIRS)
+    @given(st.one_of(PAIRS, WIDE_PAIRS))
+    # No tokens at all: an empty vocabulary.
+    @example([([], []), ([], [])])
+    # A one-word vocabulary: every gram of an order has the same key.
+    @example([(["a", "a", "a"], ["a", "a", "a", "a", "a"]),
+              (["a"] * 6, ["a"])])
+    @example([([f"w{i % 7}" for i in range(30)],
+               [f"w{i % 5}" for i in range(40)])])
     @example([([], ["a", "b"]), (["a"], ["a"])])
     @example([(["a"], ["a", "b"]), (["b"], ["b", "a"])])
     @example([(["a", "b", "a", "b"], ["a", "b", "a", "b", "a"])])
@@ -227,6 +260,24 @@ class TestSharedPassMatchesReference:
     # first pair's unigram vectors are equal although the counts differ.
     @example([(["a", "a", "b"], ["a", "b"]), (["c"], ["a", "c"])])
     def test_evaluate_corpus_equals_recount_reference(self, pairs):
+        assert_equals_recount_reference(pairs)
+
+    def test_keys_past_two_to_the_64_equal_recount_reference(self):
+        # 70000 distinct tokens: a 4-gram key, four ids read as a number
+        # in base 70000, passes 2**64.
+        words = [f"w{i}" for i in range(70000)]
+        pairs = []
+        for start in (0, 35000):
+            reference = words[start:start + 17500]
+            # Shared head and tail, with fresh words between them.
+            candidate = reference[:2000] + words[start + 17500:start + 35000] \
+                + reference[-2000:]
+            pairs.append((candidate, reference))
+        assert_equals_recount_reference(pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(PAIRS, WIDE_PAIRS))
+    def test_token_list_wrappers_equal_evaluate_corpus(self, pairs):
         records = [CorpusRecord(id=f"r{i}", text="x",
                                 candidate=" ".join(candidate),
                                 reference=" ".join(reference))
@@ -234,16 +285,10 @@ class TestSharedPassMatchesReference:
         candidates = [candidate for candidate, _ in pairs]
         references = [reference for _, reference in pairs]
         report = evaluate_corpus(records)
-        want_cider, want_mean = reference_cider(candidates, references)
-        for row, candidate, reference, cider_score in zip(
-                report.per_report, candidates, references, want_cider):
-            assert row.bleu == tuple(
-                reference_smoothed_bleu(candidate, reference, n)
-                for n in range(1, 5))
-            assert row.cider == cider_score
-        assert report.corpus.bleu == tuple(
-            reference_bleu(candidates, references, n) for n in range(1, 5))
-        assert report.corpus.cider == want_mean
+        assert tuple(bleu(candidates, references, n) for n in range(1, 5)) \
+            == report.corpus.bleu
+        assert cider(candidates, references) == (
+            [row.cider for row in report.per_report], report.corpus.cider)
 
 
 # Finite floats from subnormal to large, so squares and dot products
@@ -452,28 +497,59 @@ class TestEvaluateCorpus:
         monkeypatch.setattr(metrics, "lcs_length", counting)
         records = load_corpus(FIXTURES / "eval3.jsonl")
         evaluate_corpus(records)
-        assert calls == [(tokenize(record.candidate),
-                          tokenize(record.reference)) for record in records]
+        texts = [(tokenize(record.candidate), tokenize(record.reference))
+                 for record in records]
+        assert [tuple(map(len, call)) for call in calls] == \
+            [tuple(map(len, pair)) for pair in texts]
+        # The calls take ids that relabel the tokens one-to-one across
+        # the whole corpus, which leaves every LCS length unchanged.
+        tokens = [token for pair in texts for side in pair for token in side]
+        ids = [i for call in calls for side in call for i in side]
+        assert len(set(zip(tokens, ids))) == len(set(tokens)) == len(set(ids))
 
-    def test_pass_counts_each_side_once_per_order(self, monkeypatch):
-        # The benchmark's metrics.ngram_counts_calls_per_pair wraps this
-        # module global: 2 sides x 4 orders per pair, with document
-        # frequency taken from gram sets that bypass it.
+    def test_pass_counts_each_text_once_per_order(self, monkeypatch):
+        # Per order: a Counter per reference, then the document frequency
+        # over those Counters' keys, so no reference is counted again,
+        # then a Counter per candidate.
         calls = []
-        real = metrics.ngram_counts
+        real = metrics.Counter
 
-        def counting(tokens, n):
-            calls.append((tokens, n))
-            return real(tokens, n)
+        def counting(iterable=()):
+            items = list(iterable)
+            calls.append(items)
+            return real(items)
 
-        monkeypatch.setattr(metrics, "ngram_counts", counting)
-        records = load_corpus(FIXTURES / "eval3.jsonl")
+        monkeypatch.setattr(metrics, "Counter", counting)
+        # References repeat grams, so a recount would differ from sets.
+        records = [
+            CorpusRecord(id="r1", text="x", candidate="no effusion",
+                         reference="no effusion no effusion no change"),
+            CorpusRecord(id="r2", text="x", candidate="the heart is normal",
+                         reference="the heart is normal the heart is"),
+            CorpusRecord(id="r3", text="x", candidate="lungs are clear",
+                         reference="clear")]
         evaluate_corpus(records)
-        assert calls == [
-            (tokens, n) for record in records for n in range(1, 5)
-            for tokens in (tokenize(record.candidate),
-                           tokenize(record.reference))]
-        assert len(calls) == 2 * 4 * len(records)
+        candidates = [tokenize(record.candidate) for record in records]
+        references = [tokenize(record.reference) for record in records]
+        per_order = 2 * len(records) + 1
+        assert len(calls) == 4 * per_order
+        for n in range(1, 5):
+            block = calls[(n - 1) * per_order:n * per_order]
+            texts = [[tuple(text[i:i + n]) for i in range(len(text) - n + 1)]
+                     for text in references + candidates]
+            document_frequency = block.pop(len(records))
+            # Each text's Counter gets one key per gram, and the keys
+            # relabel the grams one-to-one.
+            assert list(map(len, block)) == list(map(len, texts))
+            relabel = set(zip(itertools.chain(*block),
+                              itertools.chain(*texts)))
+            assert len(relabel) == len({key for key, _ in relabel}) \
+                == len({gram for _, gram in relabel})
+            # The document frequency reads each reference's distinct grams.
+            to_gram = dict(relabel)
+            assert [to_gram[key] for key in document_frequency] == \
+                [gram for text in texts[:len(records)]
+                 for gram in dict.fromkeys(text)]
 
     def test_candidate_length_is_kept_but_not_serialized(self):
         records = load_corpus(FIXTURES / "eval3.jsonl")
