@@ -67,7 +67,7 @@ COMMANDS = {
     "eval --csv": (["eval", "--out", "{dir}/out", "--csv", "{dir}/csv"],
                    _inputs("fixtures/", "gen/eval-pairs/")),
 }
-for _field in ("text", "candidate"):
+for _field in ("text", "reference", "candidate"):
     COMMANDS[f"label --label-on {_field}"] = (
         ["label", "--label-on", _field, "--out", "{dir}/out"],
         _inputs("fixtures/", "gen/label-reports/", "gen/analyze-long/"))
