@@ -4,9 +4,9 @@ Reports arrive as JSONL or CSV records with an ``id`` and a free-text
 ``text`` field, plus optional ``reference``, ``candidate``, and ``label``
 columns. A :class:`CorpusRecord` holds these raw fields as loaded; a field
 is normalized into a :class:`Report` (findings, sentences, tokens) only
-when it is labeled. :func:`make_report` runs the whole chain; the
-labeler runs its steps itself, so that it tokenizes only the sentences
-that can hold a mention.
+when it is labeled, by :func:`make_report`. Given a rule set, that one
+chain skips what cannot hold a mention: it does not split a findings
+section without a keyword surface, nor tokenize such a sentence.
 """
 
 from __future__ import annotations
@@ -17,9 +17,12 @@ import re
 import string
 import unicodedata
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._io import DataError
+
+if TYPE_CHECKING:
+    from .rules import RuleSet
 
 __all__ = [
     "CorpusError",
@@ -161,11 +164,22 @@ class Report(NamedTuple):
     tokens: list[list[str]]
 
 
-def make_report(report_id: str, raw_text: str) -> Report:
-    """Build a :class:`Report` by the fixed findings/sentence/token chain."""
-    sentences = split_sentences(extract_findings(raw_text))
-    return Report(id=report_id, sentences=sentences,
-                  tokens=[tokenize(s) for s in sentences])
+def make_report(report_id: str, raw_text: str,
+                rules: RuleSet | None = None) -> Report:
+    """Build a :class:`Report` by the findings/sentence/token chain.
+
+    With ``rules``, a findings section whose lowercase holds no keyword
+    surface (:meth:`RuleSet.may_mention`) gives no sentences, and such a
+    sentence keeps an empty token list: none of its tokens could be a
+    mention. Every other sentence keeps its index and its tokens.
+    """
+    findings = extract_findings(raw_text)
+    if rules is not None and not rules.may_mention(findings):
+        return Report(report_id, [], [])
+    sentences = split_sentences(findings)
+    return Report(report_id, sentences,
+                  [tokenize(s) if rules is None or rules.may_mention(s) else []
+                   for s in sentences])
 
 
 class CorpusRecord(NamedTuple):
@@ -179,6 +193,7 @@ class CorpusRecord(NamedTuple):
 
 
 _OPTIONAL_FIELDS = ("reference", "candidate", "label")
+_READ_FIELDS = ("id", "text", *_OPTIONAL_FIELDS)
 _UTF8_BOM = b"\xef\xbb\xbf"
 
 
@@ -203,9 +218,34 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[CorpusRecord]:
     return records
 
 
+class _RepeatedKeys(dict):
+    """A JSON object that repeats a key: each key's last value, as a
+    dict, and every key in file order as ``names``."""
+
+    def __init__(self, pairs: list[tuple[str, object]]) -> None:
+        super().__init__(pairs)
+        self.names = [name for name, _ in pairs]
+
+
+def _object_from_pairs(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else _RepeatedKeys(pairs)
+
+
+def _refuse_repeated(names: list[str], kind: str, line: int,
+                     byte_offset: int | None = None) -> None:
+    # A repeated name would silently keep its last value.
+    for name in _READ_FIELDS:
+        if names.count(name) > 1:
+            raise CorpusError(f"{kind} {name!r} is repeated", line=line,
+                              byte_offset=byte_offset)
+
+
 def _load_jsonl(path: Path) -> list[CorpusRecord]:
     records = []
     offset = 0
+    # One decoder per file: ``json.loads`` with a hook builds one per line.
+    decode = json.JSONDecoder(object_pairs_hook=_object_from_pairs).decode
     with open(path, "rb") as handle:
         for line_no, raw_line in enumerate(handle, start=1):
             line_offset = offset
@@ -220,13 +260,15 @@ def _load_jsonl(path: Path) -> list[CorpusRecord]:
             if not text_line.strip():
                 continue
             try:
-                obj = json.loads(text_line)
+                obj = decode(text_line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"malformed JSON: {exc.msg}", line=line_no,
                                   byte_offset=line_offset) from exc
             if not isinstance(obj, dict):
                 raise CorpusError("record is not a JSON object", line=line_no,
                                   byte_offset=line_offset)
+            if isinstance(obj, _RepeatedKeys):
+                _refuse_repeated(obj.names, "key", line_no, line_offset)
             records.append(_record_from_mapping(obj, line_no, line_offset))
     return records
 
@@ -243,10 +285,7 @@ def _load_csv(path: Path) -> list[CorpusRecord]:
             raise CorpusError(
                 f"missing required column(s): {', '.join(sorted(missing))}",
                 line=1)
-        # A repeated column would silently keep its last cell.
-        for name in ("id", "text", *_OPTIONAL_FIELDS):
-            if header.count(name) > 1:
-                raise CorpusError(f"column {name!r} is repeated", line=1)
+        _refuse_repeated(header, "column", 1)
         # A quoted cell may span lines: a record starts on the line after
         # the previous row ended.  Blank lines hold no record.
         start = reader.line_num + 1

@@ -12,11 +12,12 @@ section split into sentences and tokens):
 
 Classification is local to a sentence and independent across mentions,
 so reports can be labeled with any order-preserving parallel map.
-:func:`label_corpus` tokenizes only the sentences whose lowercase holds
-a keyword surface, since no token of another sentence can be a mention,
-and it does not split a findings section that holds none. A mention is
-tried only against the templates whose literals its sentence holds
-(:meth:`RuleSet.templates_for`), in file order, so the same rule fires.
+:func:`label_corpus` normalizes each record by
+:func:`~radpriors.corpus.make_report` screened with the rule set, so
+only sentences whose lowercase holds a keyword surface are tokenized. A
+mention is tried only against the templates whose literals its sentence
+holds (:meth:`RuleSet.templates_for`), in file order, so the same rule
+fires.
 """
 
 from __future__ import annotations
@@ -24,10 +25,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .corpus import (CorpusError, CorpusRecord, Report, extract_findings,
-                     split_sentences, tokenize)
-# Re-exported: bench/test_bench.py instruments labeler.make_report.
-from .corpus import make_report  # noqa: F401
+from .corpus import CorpusError, CorpusRecord, Report, make_report
 from .rules import KeywordEntry, RuleSet
 
 __all__ = [
@@ -87,10 +85,6 @@ class LabelCounts(NamedTuple):
     def to_dict(self) -> dict[str, int]:
         return {"negative": self.negative, "positive": self.positive,
                 "total": self.total}
-
-
-# The label of every report without a mention; immutable, so it is shared.
-_NO_MENTIONS = PriorLabel(value=0, evidence=())
 
 
 def extract_mentions(report: Report, rules: RuleSet) -> list[Mention]:
@@ -172,13 +166,9 @@ def label_corpus(records: list[CorpusRecord], rules: RuleSet,
     """Label every record, returning per-record labels plus counts.
 
     ``text_source`` picks which field is labeled: the record text
-    (default), the reference or the candidate.  Each record's findings
-    section is extracted once; a section whose lowercase holds no keyword
-    surface (:meth:`RuleSet.may_mention`) labels 0 without being split.
-    Of the others, only a sentence that holds a surface is tokenized; the
-    rest keep no tokens, since none of theirs could be a mention, but
-    still count toward ``sentence_index``.  The label therefore equals
-    ``label_report(make_report(...))``.
+    (default), the reference or the candidate.  Each label is
+    ``label_report(make_report(record.id, value, rules), rules)``, which
+    equals the label of the unscreened ``make_report(record.id, value)``.
     """
     if text_source not in ("text", "reference", "candidate"):
         raise ValueError(f"unknown text source {text_source!r}")
@@ -188,14 +178,7 @@ def label_corpus(records: list[CorpusRecord], rules: RuleSet,
         if value is None:
             raise CorpusError(
                 f"record {record.id!r} has no {text_source} field")
-        findings = extract_findings(value)
-        if not rules.may_mention(findings):
-            labels.append(_NO_MENTIONS)
-            continue
-        sentences = split_sentences(findings)
-        tokens = [tokenize(sentence) if rules.may_mention(sentence) else []
-                  for sentence in sentences]
-        labels.append(label_report(Report(record.id, sentences, tokens),
+        labels.append(label_report(make_report(record.id, value, rules),
                                    rules))
     positive = sum(label.value for label in labels)
     counts = LabelCounts(negative=len(labels) - positive,

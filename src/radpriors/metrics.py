@@ -36,12 +36,10 @@ __all__ = [
     "ReportScores",
     "CorpusScores",
     "MetricReport",
-    "ngram_counts",
     "bleu",
     "lcs_length",
     "rouge_l",
     "cider",
-    "cosine",
     "evaluate_corpus",
 ]
 
@@ -52,22 +50,6 @@ CIDER_SCALE = 10.0
 
 class EvaluationError(DataError):
     """Records cannot be scored (missing fields, empty input)."""
-
-
-def _ngrams(tokens: list[str], n: int):
-    # Zipping n shifted copies yields each window as a tuple, in order.
-    return zip(*[tokens[i:] for i in range(n)])
-
-
-def ngram_counts(tokens: list[str], n: int) -> Counter:
-    """Count the n-grams (n >= 1) of a token list as a multiset.
-
-    A public helper: the scorer does not call it, and counts int gram
-    keys instead (see :func:`_score_pairs`).
-    """
-    if n < 1:
-        raise EvaluationError(f"n-gram order must be at least 1, got {n}")
-    return Counter(_ngrams(tokens, n))
 
 
 def _brevity_penalty(candidate_length: int, reference_length: int) -> float:
@@ -127,24 +109,15 @@ def rouge_l(candidate: Sequence[Hashable], reference: Sequence[Hashable],
             / (recall + beta_sq * precision))
 
 
-def cosine(u: dict, v: dict) -> float:
-    """Cosine similarity of sparse vectors; 0 when either norm is 0.
-
-    Equal vectors score exactly 1.0: dividing by the rounded norms can
-    read 0.9999999999999998 for them. Other vectors are clamped to 1.0,
-    since the rounded norms can make parallel vectors read
-    1.0000000000000002, which would lift CIDEr above its maximum of 10.
-    """
-    return _cosine(list(u.values()), list(map(v.get, u, repeat(0.0))),
-                   list(v.values()), u.keys() == v.keys())
-
-
 def _cosine(u: list[float], v_at_u: list[float], v: list[float],
             same_keys: bool) -> float:
-    """:func:`cosine` of vectors given as value lists.
+    """Cosine of sparse vectors given as value lists; 0 for a zero norm.
 
     ``v_at_u`` holds v's value at each of u's keys (0.0 where v has
-    none); ``same_keys`` says whether u and v have one key set.
+    none); ``same_keys`` says whether u and v have one key set. Equal
+    vectors score exactly 1.0, where the rounded norms can give
+    0.9999999999999998; others are clamped to 1.0, where they can give
+    1.0000000000000002 and lift CIDEr above its maximum of 10.
     """
     norm_u = math.sqrt(math.fsum(map(mul, u, u)))
     norm_v = math.sqrt(math.fsum(map(mul, v, v)))

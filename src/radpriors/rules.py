@@ -23,6 +23,7 @@ by marker patterns (see the labeler module).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -180,6 +181,8 @@ def _parse_atom(rule_id: str, part: str, line: int | None) -> _Atom:
 class RuleSet:
     """Parsed rules: keywords, patterns, and the change-verb subset.
 
+    The keywords and the two pattern lists are held as tuples, so they
+    cannot be edited in place behind the index ``__init__`` builds.
     Equality and ``repr`` cover the five constructor fields only. A rule
     set is not hashable: defining ``__eq__`` sets ``__hash__`` to None.
     """
@@ -187,20 +190,20 @@ class RuleSet:
     _FIELDS = ("keywords", "negation_patterns", "prior_patterns",
                "change_verbs", "version")
 
-    def __init__(self, keywords: list[KeywordEntry],
-                 negation_patterns: list[RuleTemplate],
-                 prior_patterns: list[RuleTemplate],
+    def __init__(self, keywords: Iterable[KeywordEntry],
+                 negation_patterns: Iterable[RuleTemplate],
+                 prior_patterns: Iterable[RuleTemplate],
                  change_verbs: frozenset[str], version: str = "0") -> None:
-        self.keywords = keywords
-        self.negation_patterns = negation_patterns
-        self.prior_patterns = prior_patterns
+        self.keywords = tuple(keywords)
+        self.negation_patterns = tuple(negation_patterns)
+        self.prior_patterns = tuple(prior_patterns)
         self.change_verbs = change_verbs
         self.version = version
-        # Built from the fields once; the rule set is not edited after use.
-        # A stable sort, so surfaces of equal length keep file order.
-        self._by_precedence = sorted(keywords,
+        # Built from the fields once.  A stable sort, so surfaces of equal
+        # length keep file order.
+        self._by_precedence = sorted(self.keywords,
                                      key=lambda entry: -len(entry.surface))
-        self._surfaces = tuple(entry.surface for entry in keywords)
+        self._surfaces = tuple(entry.surface for entry in self.keywords)
         self._keyword_memo: dict[str, KeywordEntry | None] = {}
         # The literal index: one bit per distinct literal atom of the
         # templates, each token's bits, and the bits each template needs,
@@ -223,7 +226,7 @@ class RuleSet:
 
         self._needed_bits = tuple(
             [(template, needed(template)) for template in patterns]
-            for patterns in (negation_patterns, prior_patterns))
+            for patterns in (self.negation_patterns, self.prior_patterns))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -16,7 +16,13 @@ every prior template, in file order.
 ``reference_grad_check`` is the finite-difference check as it ran when
 every probe called ``teacher_forced_loss``, backward pass included, and
 kept only the loss.
+
+``cosine`` is the dict adapter over ``metrics._cosine`` that ``metrics``
+exported while no scoring path called it; the cosine tests reach the
+scorer's cosine through it.
 """
+
+from itertools import repeat
 
 import numpy as np
 
@@ -24,6 +30,7 @@ from radpriors.corpus import Report, extract_findings, tokenize
 from radpriors.infusion import GradCheckReport, _rel_error, teacher_forced_loss
 from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
                                Verdict)
+from radpriors.metrics import _cosine
 
 
 ABBREVIATIONS = {"dr", "mr", "mrs", "ms", "vs", "a.m", "p.m", "e.g", "i.e"}
@@ -131,6 +138,12 @@ def reference_label(report_id, raw_text, rules):
 def reference_label_corpus(records, rules, text_source="text"):
     return [reference_label(record.id, getattr(record, text_source), rules)
             for record in records]
+
+
+def cosine(u, v):
+    """Cosine similarity of sparse dict vectors by ``metrics._cosine``."""
+    return _cosine(list(u.values()), list(map(v.get, u, repeat(0.0))),
+                   list(v.values()), u.keys() == v.keys())
 
 
 def reference_grad_check(model, images, prior, step=1e-4, sample_seed=0):

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import cosine
 from radpriors.cli import pipeline_label_then_eval
 from radpriors.corpus import load_corpus, make_report, tokenize
 from radpriors.infusion import (
@@ -24,8 +25,8 @@ from radpriors.infusion import (
     infuse,
 )
 from radpriors.labeler import label_corpus, label_report
-from radpriors.metrics import bleu, cider, cosine, evaluate_corpus, \
-    lcs_length, rouge_l
+from radpriors.metrics import bleu, cider, evaluate_corpus, lcs_length, \
+    rouge_l
 from radpriors.rules import default_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -208,6 +208,16 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_jsonl_key_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "repeated.jsonl"
+        corpus.write_text('{"id": "r1", "text": "Stable compared to prior '
+                          'exam.", "text": "Clear."}\n', encoding="utf-8")
+        out = tmp_path / "labels.jsonl"
+        assert run(["label", "--in", str(corpus), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: line 1: key 'text' is repeated (byte offset 0)\n")
+        assert not out.exists()
+
     def test_failed_run_leaves_no_output(self, tmp_path, capsys):
         bad = tmp_path / "dup.jsonl"
         bad.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n',

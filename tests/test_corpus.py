@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oracles import reference_split_sentences
-from radpriors.corpus import (CorpusError, extract_findings, load_corpus,
-                              make_report, split_sentences, tokenize)
+from radpriors.corpus import (CorpusError, CorpusRecord, Report,
+                              extract_findings, load_corpus, make_report,
+                              split_sentences, tokenize)
+from radpriors.rules import default_rules
 
 # Final words must not look like guarded abbreviations ("vs.", "dr.", ...).
 WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=2, max_size=8) \
@@ -175,6 +177,15 @@ class TestMakeReport:
         assert report.sentences == ["Heart normal."]
         assert report.tokens == [["heart", "normal"]]
 
+    def test_rules_screen_sections_and_sentences(self):
+        rules = default_rules()
+        raw = "FINDINGS: Heart normal. Stable since PRIOR film. IMPRESSION: x."
+        assert make_report("r1", raw, rules) == Report(
+            "r1", ["Heart normal.", "Stable since PRIOR film."],
+            [[], ["stable", "since", "prior", "film"]])
+        assert make_report("r2", "FINDINGS: Heart normal. IMPRESSION: Prior "
+                           "exam.", rules) == Report("r2", [], [])
+
     def test_sentences_rebuild_findings_up_to_whitespace(self):
         raw = "No  acute disease.   Stable exam."
         report = make_report("r2", raw)
@@ -276,6 +287,25 @@ class TestLoadCorpus:
         path.write_text("id,text,note,note\nr1,Clear.,a,b\n",
                         encoding="utf-8")
         assert load_corpus(path, format="csv")[0].text == "Clear."
+
+    @pytest.mark.parametrize("key",
+                             ["id", "text", "reference", "candidate", "label"])
+    def test_jsonl_repeated_key_is_refused(self, tmp_path, key):
+        good = json.dumps({"id": "r0", "text": "Clear."})
+        line = ('{"id": "r1", "text": "Stable compared to prior exam.", '
+                '"reference": "Clear.", "candidate": "Clear.", "label": 0, '
+                f'"{key}": "Clear."}}')
+        path = self._write(tmp_path, [good, line])
+        with pytest.raises(CorpusError,
+                           match=f"line 2: key '{key}' is repeated") as err:
+            load_corpus(path)
+        assert err.value.byte_offset == len(good) + 1
+
+    def test_jsonl_repeated_unread_key_loads(self, tmp_path):
+        path = self._write(tmp_path, [
+            '{"id": "r1", "note": 1, "text": "Clear.", "note": 2, '
+            '"meta": {"text": "a", "text": "b"}}'])
+        assert load_corpus(path) == [CorpusRecord(id="r1", text="Clear.")]
 
     def test_csv_row_longer_than_header_is_refused(self, tmp_path):
         path = tmp_path / "corpus.csv"

@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import radpriors.labeler as labeler
+import radpriors.corpus as corpus
 from oracles import (reference_extract_mentions, reference_label_corpus,
                      reference_label_report, reference_make_report)
-from radpriors.corpus import (CorpusError, CorpusRecord, Report, load_corpus,
-                              make_report, split_sentences, tokenize)
+from radpriors.corpus import (CorpusError, CorpusRecord, Report,
+                              extract_findings, load_corpus, make_report,
+                              split_sentences, tokenize)
 from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
                                Verdict, aggregate, classify_mentions,
                                extract_mentions, label_corpus, label_report)
@@ -218,14 +219,14 @@ class TestLabelerProperties:
             keywords=rules.keywords,
             negation_patterns=rules.negation_patterns,
             prior_patterns=rules.prior_patterns
-            + [parse_template("zz-extra-prior", "{m} ..4 masses")],
+            + (parse_template("zz-extra-prior", "{m} ..4 masses"),),
             change_verbs=rules.change_verbs)
 
     def _with_extra_negation(self, rules):
         return RuleSet(
             keywords=rules.keywords,
             negation_patterns=rules.negation_patterns
-            + [parse_template("zz-extra-neg", "{m} ..4 noted")],
+            + (parse_template("zz-extra-neg", "{m} ..4 noted"),),
             prior_patterns=rules.prior_patterns,
             change_verbs=rules.change_verbs)
 
@@ -364,10 +365,24 @@ def records_of(texts):
             for i, text in enumerate(texts)]
 
 
+def screened_reference_report(report_id, raw_text, rules):
+    """``reference_make_report`` with a section whose lowercase holds no
+    keyword surface left without sentences, and such a sentence without
+    tokens."""
+    def holds_surface(text):
+        return any(entry.surface in text.lower() for entry in rules.keywords)
+    if not holds_surface(extract_findings(raw_text)):
+        return Report(report_id, [], [])
+    report = reference_make_report(report_id, raw_text)
+    return report._replace(tokens=[
+        tokens if holds_surface(sentence) else []
+        for sentence, tokens in zip(report.sentences, report.tokens)])
+
+
 class TestLabelCorpusEqualsReference:
-    """``label_corpus`` screens findings and sentences for keyword surfaces
-    and tries only the templates whose literals a sentence holds; the full
-    chain does neither."""
+    """``label_corpus`` labels reports that ``make_report`` screened for
+    keyword surfaces, and tries only the templates whose literals a
+    sentence holds; the full chain does neither."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(RULE_SETS)), st.lists(TEXTS, max_size=4))
@@ -387,8 +402,11 @@ class TestLabelCorpusEqualsReference:
             assert labels == want
             assert counts.positive == sum(label.value for label in want)
         for record in records:
-            assert make_report(record.id, record.text) == \
-                reference_make_report(record.id, record.text)
+            for text in (record.text, record.reference, record.candidate):
+                assert make_report(record.id, text) == \
+                    reference_make_report(record.id, text)
+                assert make_report(record.id, text, rules) == \
+                    screened_reference_report(record.id, text, rules)
 
     def test_straddling_surface_passes_the_screen_and_labels_0(self):
         findings = "Lungs clear. Prior film."
@@ -407,8 +425,8 @@ class TestLabelCorpusEqualsReference:
         def recording_tokenize(sentence):
             tokenized.append(sentence)
             return tokenize(sentence)
-        monkeypatch.setattr(labeler, "split_sentences", recording_split)
-        monkeypatch.setattr(labeler, "tokenize", recording_tokenize)
+        monkeypatch.setattr(corpus, "split_sentences", recording_split)
+        monkeypatch.setattr(corpus, "tokenize", recording_tokenize)
         texts = ["FINDINGS: Lungs clear. Stable since PRIOR film. Heart "
                  "normal. Nonprior opacity! IMPRESSION: Prior exam.",
                  "Heart normal. Lungs clear!",

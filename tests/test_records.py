@@ -19,7 +19,7 @@ from radpriors.labeler import (ClassifiedMention, LabelCounts, Mention,
                                PriorLabel)
 from radpriors.metrics import CorpusScores, MetricReport, ReportScores
 from radpriors.rules import (KeywordEntry, RuleSet, RuleTemplate, _Gap,
-                             _Literal, default_rules)
+                             _Literal, default_rules, parse_template)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -98,9 +98,25 @@ class TestRuleSet:
     def test_repr_shows_the_public_fields(self):
         rules = RuleSet([KeywordEntry("prior")], [], [], frozenset())
         assert repr(rules) == (
-            "RuleSet(keywords=[KeywordEntry(surface='prior', stem=False)], "
-            "negation_patterns=[], prior_patterns=[], "
+            "RuleSet(keywords=(KeywordEntry(surface='prior', stem=False),), "
+            "negation_patterns=(), prior_patterns=(), "
             "change_verbs=frozenset(), version='0')")
+
+    def test_holds_its_rules_as_tuples(self):
+        # A caller's list edited after construction would leave the
+        # keyword and literal indexes behind.
+        keywords = [KeywordEntry("prior")]
+        negations = [parse_template("neg", "no {m}")]
+        priors = [parse_template("exam", "{m} exam")]
+        rules = RuleSet(keywords, negations, priors, frozenset())
+        keywords.append(KeywordEntry("stable"))
+        assert rules.keywords == (KeywordEntry("prior"),)
+        assert rules.keyword_for("stable") is None
+        for name in ("keywords", "negation_patterns", "prior_patterns"):
+            with pytest.raises(AttributeError):
+                getattr(rules, name).append(KeywordEntry("stable"))
+        assert rules == RuleSet(tuple(keywords[:1]), tuple(negations),
+                                tuple(priors), frozenset())
 
     def test_is_not_hashable(self):
         with pytest.raises(TypeError):

@@ -42,7 +42,7 @@ class TestLoadRules:
         path.write_text("[keywords]\n[negations]\n[priors]\n[change_verbs]\n",
                         encoding="utf-8")
         rules = load_rules(path)
-        assert rules.keywords == []
+        assert rules.keywords == ()
         report = make_report("r", "Unchanged compared to prior examination.")
         assert label_report(report, rules).value == 0
 
