@@ -7,6 +7,16 @@ partial outputs behind.
 
 Each command imports the modules it runs when it runs, so ``infuse-demo``
 loads no corpus code and ``label`` and ``eval`` load no numpy.
+
+:func:`main`, the ``radpriors`` command and ``python -m radpriors.cli``,
+ends the process with ``os._exit`` once standard output and standard
+error are flushed. Every output file is closed and renamed before
+:func:`run` returns, and the program starts no thread and registers no
+``atexit`` handler, so the interpreter's teardown would only free
+objects and finalize modules, which for numpy's takes longer than some
+commands' own work (see the README's start-up notes). If a flush
+fails, :func:`main` exits through ``sys.exit`` instead, so the
+interpreter reports the failure as it always has.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -29,7 +40,7 @@ if TYPE_CHECKING:
     from .metrics import MetricReport
     from .rules import RuleSet
 
-__all__ = ["run", "pipeline_label_then_eval", "PipelineResult"]
+__all__ = ["main", "run", "pipeline_label_then_eval", "PipelineResult"]
 
 # Options that name a file, with their argparse destinations.  No two of
 # one invocation may resolve to the same file.
@@ -352,5 +363,17 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
 
+def main() -> None:
+    """Run the command line on ``sys.argv`` and end the process."""
+    code = run()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(run())
+    main()

@@ -154,8 +154,18 @@ def aggregate(classified: list[ClassifiedMention]) -> PriorLabel:
     return PriorLabel(value=1 if evidence else 0, evidence=evidence)
 
 
+_NO_MENTIONS = PriorLabel(0, ())
+
+
 def label_report(report: Report, rules: RuleSet) -> PriorLabel:
-    """Run the full extract/classify/aggregate chain on one report."""
+    """Run the full extract/classify/aggregate chain on one report.
+
+    A report whose sentences hold no token, such as a keyword-free
+    section screened by :func:`~radpriors.corpus.make_report`, has no
+    mention and gets one shared ``PriorLabel(0, ())`` without the chain.
+    """
+    if not any(report.tokens):
+        return _NO_MENTIONS
     mentions = extract_mentions(report, rules)
     classified = classify_mentions(report, mentions, rules)
     return aggregate(classified)

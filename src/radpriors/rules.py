@@ -181,10 +181,11 @@ def _parse_atom(rule_id: str, part: str, line: int | None) -> _Atom:
 class RuleSet:
     """Parsed rules: keywords, patterns, and the change-verb subset.
 
-    The keywords and the two pattern lists are held as tuples, so they
-    cannot be edited in place behind the index ``__init__`` builds.
-    Equality and ``repr`` cover the five constructor fields only. A rule
-    set is not hashable: defining ``__eq__`` sets ``__hash__`` to None.
+    The keywords and the two pattern lists are held as tuples, and none
+    of the five constructor fields can be rebound, so they cannot change
+    behind the index ``__init__`` builds. Equality and
+    ``repr`` cover those five fields only. A rule set is not hashable:
+    defining ``__eq__`` sets ``__hash__`` to None.
     """
 
     _FIELDS = ("keywords", "negation_patterns", "prior_patterns",
@@ -194,11 +195,12 @@ class RuleSet:
                  negation_patterns: Iterable[RuleTemplate],
                  prior_patterns: Iterable[RuleTemplate],
                  change_verbs: frozenset[str], version: str = "0") -> None:
-        self.keywords = tuple(keywords)
-        self.negation_patterns = tuple(negation_patterns)
-        self.prior_patterns = tuple(prior_patterns)
-        self.change_verbs = change_verbs
-        self.version = version
+        # Set past __setattr__, which refuses to rebind them.
+        self.__dict__.update(
+            keywords=tuple(keywords),
+            negation_patterns=tuple(negation_patterns),
+            prior_patterns=tuple(prior_patterns),
+            change_verbs=change_verbs, version=version)
         # Built from the fields once.  A stable sort, so surfaces of equal
         # length keep file order.
         self._by_precedence = sorted(self.keywords,
@@ -227,6 +229,11 @@ class RuleSet:
         self._needed_bits = tuple(
             [(template, needed(template)) for template in patterns]
             for patterns in (self.negation_patterns, self.prior_patterns))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in self._FIELDS:
+            raise AttributeError(f"RuleSet.{name} cannot be rebound")
+        super().__setattr__(name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

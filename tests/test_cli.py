@@ -510,3 +510,122 @@ class TestPipeline:
         assert result.counts.total == 6
         assert result.counts.positive == \
             sum(l.value for l in result.labels)
+
+
+# One invocation of each command per exit code, run in an empty working
+# directory so outputs and messages name the same relative paths.
+_EXIT_CASES = {
+    ("label", 0): ["label", "--in", FIXTURES / "golden4.jsonl",
+                   "--out", "labels.jsonl", "--summary", "summary.json"],
+    ("label", 1): ["label", "--in", FIXTURES / "golden4.jsonl",
+                   "--out", "labels.jsonl", "--label-on", "bogus"],
+    ("label", 2): ["label", "--in", "absent.jsonl", "--out", "labels.jsonl"],
+    ("eval", 0): ["eval", "--in", FIXTURES / "eval3.jsonl",
+                  "--out", "metrics.json", "--csv", "scores.csv"],
+    ("eval", 1): ["eval", "--in", FIXTURES / "eval3.jsonl"],
+    ("eval", 2): ["eval", "--in", FIXTURES / "golden4.jsonl",
+                  "--out", "metrics.json"],
+    ("analyze", 0): ["analyze", "--in", FIXTURES / "pipeline6.jsonl",
+                     "--out", "analysis.json", "--csv", "scores.csv",
+                     "--plot-data", "plot.csv"],
+    ("analyze", 1): ["analyze", "--in", FIXTURES / "pipeline6.jsonl",
+                     "--out", "analysis.json", "--bins", "0"],
+    ("analyze", 2): ["analyze", "--in", FIXTURES / "pipeline6.jsonl",
+                     "--out", "analysis.json", "--rules", "absent.rules"],
+    ("infuse-demo", 0): ["infuse-demo", "--grad-check",
+                         "--emit-latents", "latents.json"],
+    ("infuse-demo", 1): ["infuse-demo", "--seed", "-1"],
+    ("infuse-demo", 2): ["infuse-demo", "--max-len", "0"],
+}
+_COMMANDS = ("label", "eval", "analyze", "infuse-demo")
+
+# The reference exit path: ``run`` and then the interpreter's teardown.
+_RUN_THEN_TEARDOWN = ["-c", "import sys; from radpriors.cli import run; "
+                            "sys.exit(run(sys.argv[1:]))"]
+_MAIN = ["-m", "radpriors.cli"]
+
+
+def _cli_process(entry, argv, workdir, sink, unbuffered):
+    """Exit code, stdout, stderr and output files of one CLI process run
+    in the new directory ``workdir``.
+
+    ``sink`` is where stdout goes: "pipe", "file", "closed" (``>&-``) or
+    "broken" (a pipe whose reader has closed). stderr goes to a pipe, or
+    to a file with "file".
+    """
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(radpriors.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, *entry, *map(str, argv)]
+    workdir.mkdir()
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    if sink == "closed":
+        command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+    elif sink == "broken":
+        reader, streams["stdout"] = os.pipe()
+        os.close(reader)
+    elif sink == "file":
+        streams = {name: open(f"{workdir}.{name}", "w+b")
+                   for name in ("stdout", "stderr")}
+    try:
+        done = subprocess.run(command, cwd=workdir, env=env, **streams)
+    finally:
+        if sink == "broken":
+            os.close(streams["stdout"])
+    if sink == "file":
+        for name, handle in streams.items():
+            with handle:
+                handle.seek(0)
+                setattr(done, name, handle.read())
+    files = {path.name: path.read_bytes() for path in workdir.iterdir()}
+    return done.returncode, done.stdout, done.stderr, files
+
+
+class TestProcessExit:
+    """``python -m radpriors.cli`` ends with ``os._exit`` after ``run``."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["pipe", "file"])
+    @pytest.mark.parametrize("case", sorted(_EXIT_CASES),
+                             ids=lambda case: f"{case[0]}-{case[1]}")
+    def test_outputs_and_exit_code_are_those_of_run(
+            self, case, sink, unbuffered, tmp_path, monkeypatch, capsys):
+        argv = [str(arg) for arg in _EXIT_CASES[case]]
+        process = _cli_process(_MAIN, argv, tmp_path / "process", sink,
+                               unbuffered)
+        (tmp_path / "in-process").mkdir()
+        monkeypatch.chdir(tmp_path / "in-process")
+        code = run(argv)
+        out, err = capsys.readouterr()
+        files = {path.name: path.read_bytes()
+                 for path in Path.cwd().iterdir()}
+        assert code == case[1]
+        assert process == (code, out.encode(), err.encode(), files)
+        assert out if code == 0 else err
+        assert bool(files) == (code == 0)
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["closed", "broken"])
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_lost_stdout_ends_as_before(self, command, sink, unbuffered,
+                                        tmp_path):
+        argv = _EXIT_CASES[command, 0]
+        process = _cli_process(_MAIN, argv, tmp_path / "main", sink,
+                               unbuffered)
+        before = _cli_process(_RUN_THEN_TEARDOWN, argv, tmp_path / "before",
+                              sink, unbuffered)
+        assert process == before
+        code, _, err, _ = process
+        if sink == "closed":
+            assert (code, err) == (0, b"")
+        elif unbuffered:
+            # print raises inside run, which reports it as a data error.
+            assert (code, err) == (2, b"error: [Errno 32] Broken pipe\n")
+        else:
+            # The flush fails again at teardown, which exits 120.
+            assert code == 120
+            assert err.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import radpriors.corpus as corpus
+import radpriors.labeler as labeler
 from oracles import (reference_extract_mentions, reference_label_corpus,
                      reference_label_report, reference_make_report)
 from radpriors.corpus import (CorpusError, CorpusRecord, Report,
@@ -441,6 +442,22 @@ class TestLabelCorpusEqualsReference:
         assert [label.value for label in labels] == [1, 0, 1]
         assert [item.mention.sentence_index for label in labels
                 for item in label.evidence] == [1, 1]
+
+    def test_keyword_free_sections_skip_extraction(self, rules, monkeypatch):
+        extracted = []
+
+        def counting_extract(report, rules):
+            extracted.append(report.id)
+            return extract_mentions(report, rules)
+        monkeypatch.setattr(labeler, "extract_mentions", counting_extract)
+        records = records_of(["Heart normal. Lungs clear!",
+                              "No effusion. Unchanged from XXXX.",
+                              "FINDINGS: Lungs clear. IMPRESSION: Prior exam."])
+        labels, counts = label_corpus(records, rules)
+        assert extracted == ["r1"]
+        assert labels == reference_label_corpus(records, rules)
+        assert labels[0] is labels[2]
+        assert counts.positive == 1
 
     def test_may_mention_reads_the_lowercase(self):
         assert CUSTOM_RULES.may_mention("\u212aV")

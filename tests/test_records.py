@@ -118,6 +118,21 @@ class TestRuleSet:
         assert rules == RuleSet(tuple(keywords[:1]), tuple(negations),
                                 tuple(priors), frozenset())
 
+    def test_fields_cannot_be_rebound(self):
+        rules = RuleSet([KeywordEntry("prior")], [], [], frozenset())
+        with pytest.raises(AttributeError):
+            rules.keywords = (KeywordEntry("stable"),)
+        assert rules.keyword_for("stable") is None
+        assert rules.keyword_for("prior") == KeywordEntry("prior")
+        assert not rules.may_mention("Stable.")
+        assert rules != RuleSet([KeywordEntry("stable")], [], [], frozenset())
+        assert rules == RuleSet([KeywordEntry("prior")], [], [], frozenset())
+        for name in RuleSet._FIELDS:
+            value = getattr(rules, name)
+            with pytest.raises(AttributeError):
+                setattr(rules, name, value)
+            assert getattr(rules, name) is value
+
     def test_is_not_hashable(self):
         with pytest.raises(TypeError):
             hash(default_rules())
