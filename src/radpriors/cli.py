@@ -105,6 +105,29 @@ def _load_ruleset(path: str | None) -> RuleSet:
     return load_rules(path) if path else default_rules()
 
 
+def _label_jsonl(records: list[CorpusRecord],
+                 labels: list[PriorLabel]) -> str:
+    """One line per record: ``{"evidence": [{"rule", "sentence_index",
+    "span"}, ...], "id", "label"}``, as ``json.dumps(..., sort_keys=True,
+    ensure_ascii=False)`` writes it.
+
+    The lines are formatted from that fixed shape; only the strings go
+    through one encoder, and the integers are written as ``json`` writes
+    them.
+    """
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    lines = []
+    for record, label in zip(records, labels):
+        evidence = ", ".join(
+            f'{{"rule": {encode(item.fired_rule)}, '
+            f'"sentence_index": {item.mention.sentence_index}, '
+            f'"span": [{item.match_span[0]}, {item.match_span[1]}]}}'
+            for item in label.evidence)
+        lines.append(f'{{"evidence": [{evidence}], "id": {encode(record.id)}, '
+                     f'"label": {label.value}}}\n')
+    return "".join(lines)
+
+
 def _cmd_label(args: argparse.Namespace) -> int:
     from .corpus import load_corpus
     from .labeler import label_corpus
@@ -112,17 +135,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     records = load_corpus(args.infile, format=args.format)
     rules = _load_ruleset(args.rules)
     labels, counts = label_corpus(records, rules, text_source=args.label_on)
-    # One encoder for every line: json.dumps would build one per call.
-    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
-    lines = []
-    for record, label in zip(records, labels):
-        evidence = [{"sentence_index": item.mention.sentence_index,
-                     "span": list(item.match_span),
-                     "rule": item.fired_rule}
-                    for item in label.evidence]
-        lines.append(encode(
-            {"id": record.id, "label": label.value, "evidence": evidence}))
-    atomic_write_text(args.out, "".join(line + "\n" for line in lines))
+    atomic_write_text(args.out, _label_jsonl(records, labels))
     summary = json.dumps(counts.to_dict(), sort_keys=True)
     if args.summary:
         atomic_write_text(args.summary, summary + "\n")
@@ -201,7 +214,6 @@ def _cmd_infuse_demo(args: argparse.Namespace) -> int:
                      max_len=args.max_len)
     report = (grad_check(model, images, prior=float(args.prior))
               if args.grad_check else None)
-    print(f"seed={args.seed} prior={args.prior} tokens={result.tokens}")
     if args.emit_latents:
         payload = {
             "seed": args.seed,
@@ -212,6 +224,8 @@ def _cmd_infuse_demo(args: argparse.Namespace) -> int:
         }
         atomic_write_text(args.emit_latents,
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # Printed after the file is written, so a lost stdout loses no file.
+    print(f"seed={args.seed} prior={args.prior} tokens={result.tokens}")
     if report is not None:
         print(f"grad-check max relative error: {report.max_rel_error:.3e}")
     return 0

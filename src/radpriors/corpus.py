@@ -3,10 +3,14 @@
 Reports arrive as JSONL or CSV records with an ``id`` and a free-text
 ``text`` field, plus optional ``reference``, ``candidate``, and ``label``
 columns. A :class:`CorpusRecord` holds these raw fields as loaded; a field
-is normalized into a :class:`Report` (findings, sentences, tokens) only
-when it is labeled, by :func:`make_report`. Given a rule set, that one
-chain skips what cannot hold a mention: it does not split a findings
-section without a keyword surface, nor tokenize such a sentence.
+is normalized only when it is labeled, in two steps:
+:func:`findings_sentences` takes raw text to its findings section's
+sentences, and :func:`sentence_tokens` takes a sentence to its tokens.
+Given a rule set, both skip what cannot hold a mention: a findings
+section without a keyword surface is not split, nor such a sentence
+tokenized. :func:`make_report` composes the two into a :class:`Report`;
+:func:`~radpriors.labeler.label_corpus` composes them itself, so that it
+tokenizes each distinct sentence once per call.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ __all__ = [
     "extract_findings",
     "split_sentences",
     "tokenize",
+    "findings_sentences",
+    "sentence_tokens",
     "make_report",
     "load_corpus",
 ]
@@ -164,22 +170,42 @@ class Report(NamedTuple):
     tokens: list[list[str]]
 
 
+def findings_sentences(raw_text: str,
+                       rules: RuleSet | None = None) -> list[str]:
+    """The sentences of the findings section of ``raw_text``.
+
+    With ``rules``, a section whose lowercase holds no keyword surface
+    (:meth:`RuleSet.may_mention`) gives none: it is not split.
+    """
+    findings = extract_findings(raw_text)
+    if rules is not None and not rules.may_mention(findings):
+        return []
+    return split_sentences(findings)
+
+
+def sentence_tokens(sentence: str, rules: RuleSet | None = None) -> list[str]:
+    """The tokens of ``sentence``.
+
+    With ``rules``, a sentence whose lowercase holds no keyword surface
+    gives none: it is not tokenized, since no token of it could be a
+    mention.
+    """
+    if rules is not None and not rules.may_mention(sentence):
+        return []
+    return tokenize(sentence)
+
+
 def make_report(report_id: str, raw_text: str,
                 rules: RuleSet | None = None) -> Report:
     """Build a :class:`Report` by the findings/sentence/token chain.
 
-    With ``rules``, a findings section whose lowercase holds no keyword
-    surface (:meth:`RuleSet.may_mention`) gives no sentences, and such a
-    sentence keeps an empty token list: none of its tokens could be a
-    mention. Every other sentence keeps its index and its tokens.
+    The report holds :func:`findings_sentences` and each one's
+    :func:`sentence_tokens`, screened alike by ``rules`` when given, so
+    a screened sentence keeps its index with an empty token list.
     """
-    findings = extract_findings(raw_text)
-    if rules is not None and not rules.may_mention(findings):
-        return Report(report_id, [], [])
-    sentences = split_sentences(findings)
+    sentences = findings_sentences(raw_text, rules)
     return Report(report_id, sentences,
-                  [tokenize(s) if rules is None or rules.may_mention(s) else []
-                   for s in sentences])
+                  [sentence_tokens(sentence, rules) for sentence in sentences])
 
 
 class CorpusRecord(NamedTuple):

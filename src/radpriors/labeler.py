@@ -11,13 +11,20 @@ section split into sentences and tokens):
    classified as a prior expression.
 
 Classification is local to a sentence and independent across mentions,
-so reports can be labeled with any order-preserving parallel map.
-:func:`label_corpus` normalizes each record by
-:func:`~radpriors.corpus.make_report` screened with the rule set, so
-only sentences whose lowercase holds a keyword surface are tokenized. A
-mention is tried only against the templates whose literals its sentence
-holds (:meth:`RuleSet.templates_for`), in file order, so the same rule
-fires.
+so reports can be labeled with any order-preserving parallel map, and a
+sentence's evidence does not depend on the report it sits in.
+:func:`label_corpus` therefore labels each distinct sentence once per
+call. It splits each record's findings section by
+:func:`~radpriors.corpus.findings_sentences` screened with the rule set,
+and keeps a dict from sentence text to the evidence that
+:func:`label_report` finds in a one-sentence report of it, tokenized by
+:func:`~radpriors.corpus.sentence_tokens`. The dict lives for one call
+and holds one entry per distinct sentence of the keyword-bearing
+sections; each occurrence copies the evidence with its own sentence
+index. Only sentences whose lowercase holds a keyword surface are
+tokenized. A mention is tried only against the templates whose literals
+its sentence holds (:meth:`RuleSet.templates_for`), in file order, so
+the same rule fires.
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .corpus import CorpusError, CorpusRecord, Report, make_report
+from .corpus import (CorpusError, CorpusRecord, Report, findings_sentences,
+                     sentence_tokens)
+# Re-exported: bench/test_bench.py instruments labeler.make_report.
+from .corpus import make_report  # noqa: F401
 from .rules import KeywordEntry, RuleSet
 
 __all__ = [
@@ -176,21 +186,41 @@ def label_corpus(records: list[CorpusRecord], rules: RuleSet,
     """Label every record, returning per-record labels plus counts.
 
     ``text_source`` picks which field is labeled: the record text
-    (default), the reference or the candidate.  Each label is
-    ``label_report(make_report(record.id, value, rules), rules)``, which
-    equals the label of the unscreened ``make_report(record.id, value)``.
+    (default), the reference or the candidate.  Each label equals
+    ``label_report(make_report(record.id, value), rules)``, but each
+    distinct sentence is screened, tokenized and classified once per
+    call: its evidence is looked up by the sentence's text.
     """
     if text_source not in ("text", "reference", "candidate"):
         raise ValueError(f"unknown text source {text_source!r}")
+    # Sentence text -> the evidence of a one-sentence report of it.
+    evidence_of: dict[str, tuple[ClassifiedMention, ...]] = {}
     labels = []
     for record in records:
         value = getattr(record, text_source)
         if value is None:
             raise CorpusError(
                 f"record {record.id!r} has no {text_source} field")
-        labels.append(label_report(make_report(record.id, value, rules),
-                                   rules))
+        evidence: list[ClassifiedMention] = []
+        for index, sentence in enumerate(findings_sentences(value, rules)):
+            found = evidence_of.get(sentence)
+            if found is None:
+                report = Report(record.id, [sentence],
+                                [sentence_tokens(sentence, rules)])
+                found = evidence_of[sentence] = \
+                    label_report(report, rules).evidence
+            if found:
+                evidence += found if index == 0 else \
+                    [_in_sentence(item, index) for item in found]
+        labels.append(PriorLabel(1, tuple(evidence)) if evidence
+                      else _NO_MENTIONS)
     positive = sum(label.value for label in labels)
     counts = LabelCounts(negative=len(labels) - positive,
                          positive=positive, total=len(labels))
     return labels, counts
+
+
+def _in_sentence(item: ClassifiedMention, index: int) -> ClassifiedMention:
+    # The same verdict for the mention at sentence ``index``.
+    mention = item.mention._replace(sentence_index=index)
+    return item._replace(mention=mention)

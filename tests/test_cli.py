@@ -9,17 +9,46 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radpriors
 from radpriors import rules
-from radpriors._io import DataError
-from radpriors.cli import pipeline_label_then_eval, run
-from radpriors.corpus import CorpusError, load_corpus
+from radpriors._io import DataError, atomic_write_text
+from radpriors.cli import _label_jsonl, pipeline_label_then_eval, run
+from radpriors.corpus import CorpusError, CorpusRecord, load_corpus
 from radpriors.infusion import InfusionError
+from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
+                               Verdict, label_corpus)
 from radpriors.metrics import EvaluationError
-from radpriors.rules import RuleFileError
+from radpriors.rules import KeywordEntry, RuleFileError
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def dumped_lines(records, labels):
+    """The ``label`` output as one ``json.dumps`` of each line's object."""
+    return "".join(json.dumps(
+        {"id": record.id, "label": label.value,
+         "evidence": [{"sentence_index": item.mention.sentence_index,
+                       "span": list(item.match_span),
+                       "rule": item.fired_rule} for item in label.evidence]},
+        ensure_ascii=False, sort_keys=True) + "\n"
+        for record, label in zip(records, labels))
+
+
+# Strings JSON must escape or may pass through: quotes, backslashes,
+# control characters, the two line separators ``ensure_ascii=False``
+# keeps, and characters outside the Basic Multilingual Plane.
+JSON_STRINGS = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028",
+                     "\u2029", "\U0001f600", "\U00010000", "\ufeff", "é"]),
+    st.characters(blacklist_categories=("Cs",))), max_size=10)
+EVIDENCE = st.builds(
+    lambda rule, index, start, length: ClassifiedMention(
+        Mention(KeywordEntry("prior"), index, (start, start + 1), "prior"),
+        Verdict.PRIOR_EXPRESSION, rule, (start, start + length)),
+    JSON_STRINGS, st.integers(0, 10**6), st.integers(0, 10**6),
+    st.integers(1, 40))
 
 
 class TestLabelCommand:
@@ -77,6 +106,34 @@ class TestLabelCommand:
         labels = [json.loads(line)["label"] for line in
                   out.read_text(encoding="utf-8").splitlines()]
         assert labels == [0, 0, 0, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(JSON_STRINGS, st.lists(EVIDENCE, max_size=3)),
+                    max_size=4))
+    def test_lines_equal_json_dumps(self, rows):
+        records = [CorpusRecord(id=record_id, text="")
+                   for record_id, _ in rows]
+        labels = [PriorLabel(1 if evidence else 0, tuple(evidence))
+                  for _, evidence in rows]
+        assert _label_jsonl(records, labels) == dumped_lines(records, labels)
+
+    def test_lone_surrogate_id_fails_alike_and_writes_nothing(self, tmp_path):
+        corpus = tmp_path / "surrogate.jsonl"
+        corpus.write_text('{"id": "a\\ud800", "text": "Stable compared to '
+                          'prior exam."}\n', encoding="utf-8")
+        records = load_corpus(corpus)
+        labels, _ = label_corpus(records, rules.default_rules())
+        text = _label_jsonl(records, labels)
+        assert text == dumped_lines(records, labels)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(UnicodeEncodeError) as written:
+            atomic_write_text(out_dir / "labels.jsonl", text)
+        with pytest.raises(UnicodeEncodeError) as labeled:
+            run(["label", "--in", str(corpus),
+                 "--out", str(out_dir / "labels.jsonl")])
+        assert str(labeled.value) == str(written.value)
+        assert list(out_dir.iterdir()) == []
 
 
 class TestExitCodes:
@@ -612,14 +669,22 @@ class TestProcessExit:
     @pytest.mark.parametrize("sink", ["closed", "broken"])
     @pytest.mark.parametrize("command", _COMMANDS)
     def test_lost_stdout_ends_as_before(self, command, sink, unbuffered,
-                                        tmp_path):
-        argv = _EXIT_CASES[command, 0]
+                                        tmp_path, monkeypatch, capsys):
+        argv = [str(arg) for arg in _EXIT_CASES[command, 0]]
         process = _cli_process(_MAIN, argv, tmp_path / "main", sink,
                                unbuffered)
         before = _cli_process(_RUN_THEN_TEARDOWN, argv, tmp_path / "before",
                               sink, unbuffered)
         assert process == before
-        code, _, err, _ = process
+        code, _, err, files = process
+        # Every command writes its files before it prints, so a lost
+        # stdout loses none of them (infuse-demo's latents included).
+        (tmp_path / "in-process").mkdir()
+        monkeypatch.chdir(tmp_path / "in-process")
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert files == {path.name: path.read_bytes()
+                         for path in Path.cwd().iterdir()}
         if sink == "closed":
             assert (code, err) == (0, b"")
         elif unbuffered:

@@ -459,12 +459,68 @@ class TestLabelCorpusEqualsReference:
         assert labels[0] is labels[2]
         assert counts.positive == 1
 
+    def test_each_distinct_sentence_is_tokenized_once_per_call(
+            self, rules, monkeypatch):
+        tokenized, extracted = [], []
+
+        def recording_tokenize(sentence):
+            tokenized.append(sentence)
+            return tokenize(sentence)
+
+        def recording_extract(report, rules):
+            extracted.append((report.id, report.sentences))
+            return extract_mentions(report, rules)
+        monkeypatch.setattr(corpus, "tokenize", recording_tokenize)
+        monkeypatch.setattr(labeler, "extract_mentions", recording_extract)
+        prior, negated = "Stable since PRIOR film.", "No prior study."
+        records = records_of([
+            f"Heart normal. {prior} Lungs clear.",
+            f"Lungs clear! {negated} {prior} {prior}",
+            f"FINDINGS: {negated} IMPRESSION: Unchanged.",
+            "Heart normal. Lungs clear!"])
+        for _ in range(2):
+            labels, _ = label_corpus(records, rules)
+            assert tokenized == [prior, negated]
+            assert extracted == [("r0", [prior]), ("r1", [negated])]
+            assert labels == reference_label_corpus(records, rules)
+            tokenized.clear()
+            extracted.clear()
+        assert [[item.mention.sentence_index for item in label.evidence]
+                for label in labels] == [[1], [2, 3], [], []]
+
     def test_may_mention_reads_the_lowercase(self):
         assert CUSTOM_RULES.may_mention("\u212aV")
         assert CUSTOM_RULES.may_mention("İ")
         assert CUSTOM_RULES.may_mention("Α ΑΣ.")
         assert not CUSTOM_RULES.may_mention("Α ΑΣΑ")
         assert not CUSTOM_RULES.may_mention("K\u0307")
+
+
+# Sentences that recur across and within records, at any index, with
+# and without keyword surfaces, in and out of a findings section.
+SENTENCE_POOL = [
+    "Stable compared to prior exam.", "STABLE COMPARED TO PRIOR EXAM.",
+    "No prior studies available.", "Opacity again noted.",
+    "Increased opacity.", "Unchanged since XXXX.", "The lungs are clear.",
+    "Heart size is normal!", "Prior film.", "Compared to früher film.",
+    "No ΑΣ film.", "\u212aVp since früher.", "FINDINGS:", "IMPRESSION:"]
+POOL_TEXTS = st.lists(st.sampled_from(SENTENCE_POOL), max_size=8).map(" ".join)
+
+
+class TestSentenceCacheEqualsReference:
+    """``label_corpus`` labels each distinct sentence once per call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(RULE_SETS)),
+           st.lists(st.tuples(POOL_TEXTS, POOL_TEXTS), max_size=6))
+    def test_labels_equal_the_full_chain(self, rules_name, texts):
+        rules = RULE_SETS[rules_name]
+        records = [CorpusRecord(id=f"r{i}", text=text, candidate=candidate)
+                   for i, (text, candidate) in enumerate(texts)]
+        for source in ("text", "candidate"):
+            labels, counts = label_corpus(records, rules, text_source=source)
+            assert labels == reference_label_corpus(records, rules, source)
+            assert counts.positive == sum(label.value for label in labels)
 
 
 def template_vocabulary(rules):
