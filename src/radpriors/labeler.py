@@ -210,17 +210,12 @@ def label_corpus(records: list[CorpusRecord], rules: RuleSet,
                 found = evidence_of[sentence] = \
                     label_report(report, rules).evidence
             if found:
-                evidence += found if index == 0 else \
-                    [_in_sentence(item, index) for item in found]
+                evidence += found if index == 0 else [
+                    item._replace(mention=item.mention._replace(
+                        sentence_index=index)) for item in found]
         labels.append(PriorLabel(1, tuple(evidence)) if evidence
                       else _NO_MENTIONS)
     positive = sum(label.value for label in labels)
     counts = LabelCounts(negative=len(labels) - positive,
                          positive=positive, total=len(labels))
     return labels, counts
-
-
-def _in_sentence(item: ClassifiedMention, index: int) -> ClassifiedMention:
-    # The same verdict for the mention at sentence ``index``.
-    mention = item.mention._replace(sentence_index=index)
-    return item._replace(mention=mention)
