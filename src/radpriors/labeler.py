@@ -14,17 +14,15 @@ Classification is local to a sentence and independent across mentions,
 so reports can be labeled with any order-preserving parallel map, and a
 sentence's evidence does not depend on the report it sits in.
 :func:`label_corpus` therefore labels each distinct sentence once per
-call. It splits each record's findings section by
-:func:`~radpriors.corpus.findings_sentences` screened with the rule set,
-and keeps a dict from sentence text to the evidence that
-:func:`label_report` finds in a one-sentence report of it, tokenized by
-:func:`~radpriors.corpus.sentence_tokens`. The dict lives for one call
-and holds one entry per distinct sentence of the keyword-bearing
-sections; each occurrence copies the evidence with its own sentence
-index. Only sentences whose lowercase holds a keyword surface are
-tokenized. A mention is tried only against the templates whose literals
-its sentence holds (:meth:`RuleSet.templates_for`), in file order, so
-the same rule fires.
+call, and screens what cannot hold a mention (:meth:`RuleSet.may_mention`):
+a findings section whose lowercase holds no keyword surface is not split,
+nor such a sentence tokenized. It keeps a dict from sentence text to the
+evidence that :func:`label_report` finds in a one-sentence report of it.
+The dict lives for one call and holds one entry per distinct sentence of
+the keyword-bearing sections; each occurrence copies the evidence with
+its own sentence index. A mention is tried only against the templates
+whose literals its sentence holds (:meth:`RuleSet.templates_for`), in
+file order, so the same rule fires.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .corpus import (CorpusError, CorpusRecord, Report, findings_sentences,
-                     sentence_tokens)
+from .corpus import (CorpusError, CorpusRecord, Report, extract_findings,
+                     split_sentences, tokenize)
 # Re-exported: bench/test_bench.py instruments labeler.make_report.
 from .corpus import make_report  # noqa: F401
 from .rules import KeywordEntry, RuleSet
@@ -168,14 +166,7 @@ _NO_MENTIONS = PriorLabel(0, ())
 
 
 def label_report(report: Report, rules: RuleSet) -> PriorLabel:
-    """Run the full extract/classify/aggregate chain on one report.
-
-    A report whose sentences hold no token, such as a keyword-free
-    section screened by :func:`~radpriors.corpus.make_report`, has no
-    mention and gets one shared ``PriorLabel(0, ())`` without the chain.
-    """
-    if not any(report.tokens):
-        return _NO_MENTIONS
+    """Run the full extract/classify/aggregate chain on one report."""
     mentions = extract_mentions(report, rules)
     classified = classify_mentions(report, mentions, rules)
     return aggregate(classified)
@@ -201,14 +192,19 @@ def label_corpus(records: list[CorpusRecord], rules: RuleSet,
         if value is None:
             raise CorpusError(
                 f"record {record.id!r} has no {text_source} field")
+        findings = extract_findings(value)
+        sentences = split_sentences(findings) \
+            if rules.may_mention(findings) else []
         evidence: list[ClassifiedMention] = []
-        for index, sentence in enumerate(findings_sentences(value, rules)):
+        for index, sentence in enumerate(sentences):
             found = evidence_of.get(sentence)
             if found is None:
-                report = Report(record.id, [sentence],
-                                [sentence_tokens(sentence, rules)])
-                found = evidence_of[sentence] = \
-                    label_report(report, rules).evidence
+                found = ()
+                if rules.may_mention(sentence):
+                    report = Report(record.id, [sentence],
+                                    [tokenize(sentence)])
+                    found = label_report(report, rules).evidence
+                evidence_of[sentence] = found
             if found:
                 evidence += found if index == 0 else [
                     item._replace(mention=item.mention._replace(

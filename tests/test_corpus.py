@@ -10,10 +10,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oracles import reference_split_sentences
-from radpriors.corpus import (CorpusError, CorpusRecord, Report,
-                              extract_findings, load_corpus, make_report,
-                              split_sentences, tokenize)
-from radpriors.rules import default_rules
+from radpriors.corpus import (CorpusError, CorpusRecord, extract_findings,
+                              load_corpus, make_report, split_sentences,
+                              tokenize)
 
 # Final words must not look like guarded abbreviations ("vs.", "dr.", ...).
 WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=2, max_size=8) \
@@ -176,15 +175,6 @@ class TestMakeReport:
         assert extract_findings(raw) == "Heart normal."
         assert report.sentences == ["Heart normal."]
         assert report.tokens == [["heart", "normal"]]
-
-    def test_rules_screen_sections_and_sentences(self):
-        rules = default_rules()
-        raw = "FINDINGS: Heart normal. Stable since PRIOR film. IMPRESSION: x."
-        assert make_report("r1", raw, rules) == Report(
-            "r1", ["Heart normal.", "Stable since PRIOR film."],
-            [[], ["stable", "since", "prior", "film"]])
-        assert make_report("r2", "FINDINGS: Heart normal. IMPRESSION: Prior "
-                           "exam.", rules) == Report("r2", [], [])
 
     def test_sentences_rebuild_findings_up_to_whitespace(self):
         raw = "No  acute disease.   Stable exam."
