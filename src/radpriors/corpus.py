@@ -15,8 +15,9 @@ import json
 import re
 import string
 import unicodedata
+from collections.abc import Iterator
 from pathlib import Path
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from ._io import DataError
 
@@ -179,8 +180,12 @@ class CorpusRecord(NamedTuple):
 
 
 _OPTIONAL_FIELDS = ("reference", "candidate", "label")
+_TEXT_FIELDS = ("id", "text", "reference", "candidate")
 _READ_FIELDS = ("id", "text", *_OPTIONAL_FIELDS)
 _UTF8_BOM = b"\xef\xbb\xbf"
+# A JSON escape such as "\ud800" decodes to a lone surrogate, which no
+# output can encode as UTF-8.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def load_corpus(path: str | Path, format: str = "jsonl") -> list[CorpusRecord]:
@@ -227,22 +232,30 @@ def _refuse_repeated(names: list[str], kind: str, line: int,
                               byte_offset=byte_offset)
 
 
+def _utf8_lines(handle: BinaryIO) -> Iterator[tuple[int, int, str]]:
+    """Each line of a binary file as (line number, byte offset, text),
+    after a leading BOM; a line that is not UTF-8 is a :class:`CorpusError`.
+    """
+    offset = 0
+    for line_no, raw_line in enumerate(handle, start=1):
+        line_offset = offset
+        offset += len(raw_line)
+        if line_no == 1:
+            raw_line = raw_line.removeprefix(_UTF8_BOM)
+        try:
+            text_line = raw_line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"invalid UTF-8: {exc}", line=line_no,
+                              byte_offset=line_offset) from exc
+        yield line_no, line_offset, text_line
+
+
 def _load_jsonl(path: Path) -> list[CorpusRecord]:
     records = []
-    offset = 0
     # One decoder per file: ``json.loads`` with a hook builds one per line.
     decode = json.JSONDecoder(object_pairs_hook=_object_from_pairs).decode
     with open(path, "rb") as handle:
-        for line_no, raw_line in enumerate(handle, start=1):
-            line_offset = offset
-            offset += len(raw_line)
-            if line_no == 1:
-                raw_line = raw_line.removeprefix(_UTF8_BOM)
-            try:
-                text_line = raw_line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"invalid UTF-8: {exc}", line=line_no,
-                                  byte_offset=line_offset) from exc
+        for line_no, line_offset, text_line in _utf8_lines(handle):
             if not text_line.strip():
                 continue
             try:
@@ -260,6 +273,18 @@ def _load_jsonl(path: Path) -> list[CorpusRecord]:
 
 
 def _load_csv(path: Path) -> list[CorpusRecord]:
+    try:
+        return _read_csv(path)
+    except UnicodeDecodeError:
+        # The text reader decodes ahead in chunks, so the error does not
+        # say where it is: find the first bad line as JSONL does.
+        with open(path, "rb") as handle:
+            for _ in _utf8_lines(handle):
+                pass
+        raise
+
+
+def _read_csv(path: Path) -> list[CorpusRecord]:
     records = []
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -314,6 +339,12 @@ def _record_from_mapping(obj: dict, line_no: int,
         value = obj.get(name)
         if value is not None and not isinstance(value, str):
             raise CorpusError(f"field {name!r} must be a string",
+                              line=line_no, byte_offset=byte_offset)
+    for name in _TEXT_FIELDS:
+        value = obj.get(name)
+        if value is not None and not value.isascii() \
+                and _SURROGATE.search(value):
+            raise CorpusError(f"field {name!r} holds a lone surrogate",
                               line=line_no, byte_offset=byte_offset)
     return CorpusRecord(
         id=obj["id"],

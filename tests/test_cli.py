@@ -117,22 +117,24 @@ class TestLabelCommand:
                   for _, evidence in rows]
         assert _label_jsonl(records, labels) == dumped_lines(records, labels)
 
-    def test_lone_surrogate_id_fails_alike_and_writes_nothing(self, tmp_path):
+    def test_lone_surrogate_id_fails_alike_and_writes_nothing(self, tmp_path,
+                                                              capsys):
         corpus = tmp_path / "surrogate.jsonl"
-        corpus.write_text('{"id": "a\\ud800", "text": "Stable compared to '
-                          'prior exam."}\n', encoding="utf-8")
-        records = load_corpus(corpus)
-        labels, _ = label_corpus(records, rules.default_rules())
-        text = _label_jsonl(records, labels)
-        assert text == dumped_lines(records, labels)
+        corpus.write_text('{"id": "ok", "text": "Stable."}\n'
+                          '{"id": "a\\ud800", "text": "Stable compared to '
+                          'prior exam.", "reference": "x", "candidate": "x"}\n',
+                          encoding="utf-8")
+        with pytest.raises(CorpusError) as loaded:
+            load_corpus(corpus)
+        assert str(loaded.value) == \
+            "line 2: field 'id' holds a lone surrogate (byte offset 32)"
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        with pytest.raises(UnicodeEncodeError) as written:
-            atomic_write_text(out_dir / "labels.jsonl", text)
-        with pytest.raises(UnicodeEncodeError) as labeled:
-            run(["label", "--in", str(corpus),
-                 "--out", str(out_dir / "labels.jsonl")])
-        assert str(labeled.value) == str(written.value)
+        for argv in (["label"], ["eval", "--csv", str(out_dir / "m.csv")],
+                     ["analyze", "--csv", str(out_dir / "a.csv")]):
+            assert run([*argv, "--in", str(corpus),
+                        "--out", str(out_dir / "out")]) == 2
+            assert capsys.readouterr().err == f"error: {loaded.value}\n"
         assert list(out_dir.iterdir()) == []
 
 
@@ -166,6 +168,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "default rules unknown" in captured.out
         assert "line 3: unknown section [bogus]" in captured.err
+
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_invalid_utf8_names_its_line_and_writes_nothing(self, format,
+                                                            tmp_path, capsys):
+        rows = ['{"id": "a", "text": "Stable."}', '{"id": "b", "text": "\xff"}']
+        if format == "csv":
+            rows = ["id,text", "b,\xff"]
+        corpus = tmp_path / f"bad.{format}"
+        corpus.write_bytes("\n".join(rows).encode("latin-1") + b"\n")
+        out = tmp_path / "out.jsonl"
+        assert run(["label", "--format", format, "--in", str(corpus),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: invalid UTF-8: ")
+        assert err.endswith(f" (byte offset {len(rows[0]) + 1})\n")
+        assert not out.exists()
 
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         code = run(["label", "--in", str(tmp_path / "absent.jsonl"),
@@ -363,7 +381,7 @@ class TestImports:
          {"analysis", "corpus", "labeler", "metrics", "rules"}),
         (["infuse-demo", "--grad-check", "--emit-latents", "OUT/l.json"],
          {"infusion"}),
-        (["--version"], {"rules"}),
+        (["--version"], {"corpus", "rules"}),
     ], ids=["label", "eval", "analyze", "infuse-demo", "version"])
     def test_each_command_loads_only_its_modules(self, argv, modules,
                                                  tmp_path):

@@ -4,8 +4,9 @@ Each case runs one command in-process through ``cli.run`` and records
 the SHA-256 of every output file, of stdout and of stderr, plus the exit
 code. The inputs are the fixtures and ``bench/gen.py`` corpora: seed 3 at
 full size, seeds 5 and 11 at a reduced ``count``; ``infuse-demo`` reads
-none and runs the bench's seeds. Each file under ``fixtures/errors``
-holds one data error, so its cases pin an exit code and a message. The digests hold the Python version
+none and runs the bench's seeds. Each corpus and rules file under
+``fixtures/errors`` holds one data error, so its cases pin an exit code
+and a message. The digests hold the Python version
 they were made under; under another one every case fails, because float
 formatting and hashing may differ there.
 
@@ -50,8 +51,8 @@ GEN = _load_gen()
 # (workload, seed, count); a count of None is the bench's full size.
 INPUTS = {f"fixtures/{path.name}": path
           for path in sorted(FIXTURES.glob("*.jsonl"))}
-INPUTS.update({f"errors/{path.name}": path
-               for path in sorted(ERRORS.glob("*.jsonl"))})
+INPUTS.update({f"errors/{path.name}": path for path in sorted(
+    [*ERRORS.glob("*.jsonl"), *ERRORS.glob("*.csv")])})
 for _workload, _reduced in (("label-reports", 1000), ("analyze-long", 50),
                             ("eval-pairs", 100)):
     for _seed, _count in ((3, None), (5, _reduced), (11, _reduced)):
@@ -97,6 +98,11 @@ COMMANDS["infuse-demo --max-len 0"] = (["infuse-demo", "--max-len", "0"],
 for _command in ("eval --csv", "label --label-on text",
                  "analyze --csv --plot-data --metric rouge_l"):
     COMMANDS[_command][1].extend(_inputs("errors/"))
+# A refused rules file, on a corpus that loads.
+for _rules in sorted(ERRORS.glob("*.rules")):
+    COMMANDS[f"label --rules errors/{_rules.name}"] = (
+        ["label", "--rules", str(_rules), "--out", "{dir}/out"],
+        ["fixtures/golden4.jsonl"])
 
 CASES = sorted(f"{command} < {name}" if name else command
                for command, (_, names) in COMMANDS.items() for name in names)

@@ -5,8 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from radpriors.corpus import make_report
 from radpriors.labeler import label_report
-from radpriors.rules import (RuleFileError, RuleSet, _Gap, _Literal,
-                             default_rules, load_rules, parse_template)
+from radpriors.rules import (KeywordEntry, RuleFileError, RuleSet, _Gap,
+                             _Literal, default_rules, load_rules,
+                             parse_template)
 
 QUOTED_KEYWORDS = {"previous", "prior", "preceding", "previously", "again",
                    "comparison", "interval", "increase", "decrease",
@@ -93,6 +94,39 @@ class TestLoadRules:
         path = tmp_path / "mixed.rules"
         path.write_text("[keywords]\nPrior\n", encoding="utf-8")
         assert [k.surface for k in load_rules(path).keywords] == ["prior"]
+
+    @pytest.mark.parametrize("content, line, message", [
+        ("[keywords]\nprior\n[priors]\np1: compared to {m} exam.\n"
+         "p2: compared to {m} exam\n", 4,
+         "template 'p1': literal 'exam.' can never equal a token"),
+        ("[priors]\np1: {m} exam|(film\n", 2,
+         "template 'p1': literal '(film' can never equal a token"),
+        ("[keywords]\nprior,\n", 2, "keyword 'prior,' can never equal a token"),
+        ("[keywords]\nprior\n\u201cprior\n", 3,
+         "keyword '\u201cprior' can never equal a token"),
+        ("[keywords]\n,prior stem\n", 2,
+         "keyword ',prior' can never start a token"),
+        ("[keywords]\n\u201cprior stem\n", 2,
+         "keyword '\u201cprior' can never start a token"),
+    ], ids=["literal", "alternation", "keyword", "unicode-keyword", "stem",
+            "unicode-stem"])
+    def test_rule_that_can_never_fire_is_refused(self, tmp_path, content,
+                                                 line, message):
+        path = tmp_path / "bad.rules"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(RuleFileError) as err:
+            load_rules(path)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_stem_may_end_in_punctuation_kept_inside_a_token(self, tmp_path):
+        path = tmp_path / "ok.rules"
+        path.write_text("[keywords]\nx- stem\n[priors]\np1: {m} x-ray\n",
+                        encoding="utf-8")
+        rules = load_rules(path)
+        assert rules.keyword_for("x-ray") == KeywordEntry("x-", stem=True)
+        report = make_report("r", "Stable x-ray x-ray.")
+        assert label_report(report, rules).value == 1
 
 
 class TestParseTemplate:
