@@ -180,7 +180,6 @@ class CorpusRecord(NamedTuple):
 
 
 _OPTIONAL_FIELDS = ("reference", "candidate", "label")
-_TEXT_FIELDS = ("id", "text", "reference", "candidate")
 _READ_FIELDS = ("id", "text", *_OPTIONAL_FIELDS)
 _UTF8_BOM = b"\xef\xbb\xbf"
 # A JSON escape such as "\ud800" decodes to a lone surrogate, which no
@@ -233,9 +232,8 @@ def _refuse_repeated(names: list[str], kind: str, line: int,
 
 
 def _utf8_lines(handle: BinaryIO) -> Iterator[tuple[int, int, str]]:
-    """Each line of a binary file as (line number, byte offset, text),
-    after a leading BOM; a line that is not UTF-8 is a :class:`CorpusError`.
-    """
+    """(line number, byte offset, text) of each line, past a leading BOM;
+    a line that is not UTF-8 is a :class:`CorpusError`."""
     offset = 0
     for line_no, raw_line in enumerate(handle, start=1):
         line_offset = offset
@@ -273,8 +271,35 @@ def _load_jsonl(path: Path) -> list[CorpusRecord]:
 
 
 def _load_csv(path: Path) -> list[CorpusRecord]:
+    records = []
     try:
-        return _read_csv(path)
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                return []
+            missing = {"id", "text"} - set(header)
+            if missing:
+                raise CorpusError("missing required column(s): "
+                                  + ", ".join(sorted(missing)), line=1)
+            _refuse_repeated(header, "column", 1)
+            # A quoted cell may span lines: a record starts on the line after
+            # the previous row ended.  Blank lines hold no record.
+            start = reader.line_num + 1
+            for row in reader:
+                if len(row) > len(header):
+                    # An unquoted comma split a cell; never drop cells.
+                    raise CorpusError(
+                        f"row has {len(row)} cells but the header names "
+                        f"{len(header)}; quote any cell that holds a comma",
+                        line=start)
+                if row:
+                    # Empty: an absent optional field, but an empty text.
+                    mapping = {k: v for k, v in zip(header, row)
+                               if k in ("id", "text")
+                               or k in _OPTIONAL_FIELDS and v != ""}
+                    records.append(_record_from_mapping(mapping, start, None))
+                start = reader.line_num + 1
     except UnicodeDecodeError:
         # The text reader decodes ahead in chunks, so the error does not
         # say where it is: find the first bad line as JSONL does.
@@ -282,38 +307,6 @@ def _load_csv(path: Path) -> list[CorpusRecord]:
             for _ in _utf8_lines(handle):
                 pass
         raise
-
-
-def _read_csv(path: Path) -> list[CorpusRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            return []
-        missing = {"id", "text"} - set(header)
-        if missing:
-            raise CorpusError(
-                f"missing required column(s): {', '.join(sorted(missing))}",
-                line=1)
-        _refuse_repeated(header, "column", 1)
-        # A quoted cell may span lines: a record starts on the line after
-        # the previous row ended.  Blank lines hold no record.
-        start = reader.line_num + 1
-        for row in reader:
-            if len(row) > len(header):
-                # An unquoted comma split a cell; never drop the extra cells.
-                raise CorpusError(
-                    f"row has {len(row)} cells but the header names "
-                    f"{len(header)}; quote any cell that holds a comma",
-                    line=start)
-            if row:
-                # An empty cell is an absent optional field, but an empty text.
-                mapping = {k: v for k, v in zip(header, row)
-                           if k in ("id", "text")
-                           or k in _OPTIONAL_FIELDS and v != ""}
-                records.append(_record_from_mapping(mapping, start, None))
-            start = reader.line_num + 1
     return records
 
 
@@ -340,10 +333,9 @@ def _record_from_mapping(obj: dict, line_no: int,
         if value is not None and not isinstance(value, str):
             raise CorpusError(f"field {name!r} must be a string",
                               line=line_no, byte_offset=byte_offset)
-    for name in _TEXT_FIELDS:
+    for name in ("id", "text", "reference", "candidate"):
         value = obj.get(name)
-        if value is not None and not value.isascii() \
-                and _SURROGATE.search(value):
+        if value and not value.isascii() and _SURROGATE.search(value):
             raise CorpusError(f"field {name!r} holds a lone surrogate",
                               line=line_no, byte_offset=byte_offset)
     return CorpusRecord(

@@ -18,9 +18,10 @@ tokens:
 Templates may not begin or end with a gap, so every match has a
 well-defined token span. Every literal choice and every keyword must be
 a token as :func:`~radpriors.corpus.tokenize` makes it, and a stem
-keyword must be able to start one, or the rule could never fire. Prior patterns whose id starts with ``marker``
-double as comparative markers: change-verb keywords are confirmed only
-by marker patterns (see the labeler module).
+keyword must be able to start one, or the rule could never fire. Prior
+patterns whose id starts with ``marker`` double as comparative markers:
+change-verb keywords are confirmed only by marker patterns (see the
+labeler module).
 """
 
 from __future__ import annotations
@@ -177,26 +178,14 @@ def _parse_atom(rule_id: str, part: str, line: int | None) -> _Atom:
         raise RuleFileError(
             f"template {rule_id!r}: empty alternation branch in {part!r}",
             line=line)
+    from .corpus import tokenize
+
     for choice in choices:
-        if not _can_be_token(choice):
+        if tokenize(choice) != [choice]:
             raise RuleFileError(
                 f"template {rule_id!r}: literal {choice!r} can never equal "
                 f"a token", line=line)
     return _Literal(choices)
-
-
-def _can_be_token(text: str, stem: bool = False) -> bool:
-    """Whether some token equals ``text``, or with ``stem`` starts with it.
-
-    A token is what :func:`~radpriors.corpus.tokenize` makes of a chunk,
-    and tokenizing a token gives it back; tokenizing strips only edge
-    punctuation, so a stem that can start a token starts one that adds a
-    letter.
-    """
-    from .corpus import tokenize
-
-    probe = text + "a" if stem else text
-    return tokenize(probe) == [probe]
 
 
 class RuleSet:
@@ -390,19 +379,22 @@ def _parse_rules(content: str) -> RuleSet:
 
 def _parse_keyword_line(line: str, line_no: int) -> KeywordEntry:
     parts = line.split()
-    if len(parts) == 1:
-        entry = KeywordEntry(surface=parts[0].lower())
-    elif len(parts) == 2 and parts[1].lower() == "stem":
-        entry = KeywordEntry(surface=parts[0].lower(), stem=True)
-    else:
+    stem = len(parts) == 2 and parts[1].lower() == "stem"
+    if len(parts) != 1 and not stem:
         raise RuleFileError(
             f"bad keyword line {line!r} (expected 'surface' or 'surface stem')",
             line=line_no)
-    if not _can_be_token(entry.surface, entry.stem):
+    from .corpus import tokenize
+
+    # Only a token's edges lose punctuation, so a stem that can start a
+    # token starts the one made of it and one more letter.
+    surface = parts[0].lower()
+    probe = surface + "a" if stem else surface
+    if tokenize(probe) != [probe]:
         raise RuleFileError(
-            f"keyword {entry.surface!r} can never "
-            f"{'start' if entry.stem else 'equal'} a token", line=line_no)
-    return entry
+            f"keyword {surface!r} can never {'start' if stem else 'equal'} "
+            f"a token", line=line_no)
+    return KeywordEntry(surface=surface, stem=stem)
 
 
 def _parse_pattern_line(line: str, line_no: int) -> RuleTemplate:
