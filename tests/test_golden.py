@@ -6,9 +6,9 @@ code. The inputs are the fixtures and ``bench/gen.py`` corpora: seed 3 at
 full size, seeds 5 and 11 at a reduced ``count``; ``infuse-demo`` reads
 none and runs the bench's seeds. Each corpus and rules file under
 ``fixtures/errors`` holds one data error, so its cases pin an exit code
-and a message. The digests hold the Python version
-they were made under; under another one every case fails, because float
-formatting and hashing may differ there.
+and a message. The digests hold the Python version they were made
+under; under another one every case fails, because float formatting and
+hashing may differ there.
 
 After an intended output change, regenerate the digests and list each
 changed case as an output change in CHANGES.md:
