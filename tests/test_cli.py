@@ -13,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import radpriors
 from radpriors import rules
-from radpriors._io import DataError, atomic_write_text
+from radpriors._io import DataError
 from radpriors.cli import _label_jsonl, pipeline_label_then_eval, run
 from radpriors.corpus import CorpusError, CorpusRecord, load_corpus
 from radpriors.infusion import InfusionError
 from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
-                               Verdict, label_corpus)
+                               Verdict)
 from radpriors.metrics import EvaluationError
 from radpriors.rules import KeywordEntry, RuleFileError
 
