@@ -1,10 +1,13 @@
-"""Pieces every command loads: the data-error base and atomic writes."""
+"""Pieces every command loads: data errors, input lines, atomic writes."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from pathlib import Path
+
+_UTF8_BOM = b"\xef\xbb\xbf"
 
 
 class DataError(ValueError):
@@ -12,7 +15,44 @@ class DataError(ValueError):
 
     Each module's own error class derives from it, so the CLI catches
     one class without importing the modules a command does not run.
+    ``line`` and ``byte_offset`` locate it in its input file when known:
+    ``line N: … (byte offset B)``.
     """
+
+    def __init__(self, message: str, *, line: int | None = None,
+                 byte_offset: int | None = None) -> None:
+        if line is not None:
+            message = f"line {line}: {message}"
+            if byte_offset is not None:
+                message += f" (byte offset {byte_offset})"
+        super().__init__(message)
+        self.line = line
+        self.byte_offset = byte_offset
+
+
+def split_cr(raw_lines: Iterable[bytes]) -> Iterator[bytes]:
+    """End lines at a lone ``\\r`` too, as well as at ``\\n`` and
+    ``\\r\\n``: the line ends of the ``csv`` module and of text files."""
+    for raw_line in raw_lines:
+        yield from raw_line.splitlines(keepends=True)
+
+
+def utf8_lines(raw_lines: Iterable[bytes], error: type[DataError]
+               ) -> Iterator[tuple[int, int, str]]:
+    """(line number, byte offset, text) of each raw line, past a leading
+    BOM; a line that is not UTF-8 raises ``error`` at its location."""
+    offset = 0
+    for line_no, raw_line in enumerate(raw_lines, start=1):
+        line_offset = offset
+        offset += len(raw_line)
+        if line_no == 1:
+            raw_line = raw_line.removeprefix(_UTF8_BOM)
+        try:
+            text_line = raw_line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"invalid UTF-8: {exc}", line=line_no,
+                        byte_offset=line_offset) from exc
+        yield line_no, line_offset, text_line
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

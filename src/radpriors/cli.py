@@ -14,9 +14,9 @@ error are flushed. Every output file is closed and renamed before
 :func:`run` returns, and the program starts no thread and registers no
 ``atexit`` handler, so the interpreter's teardown would only free
 objects and finalize modules, which for numpy's takes longer than some
-commands' own work (see the README's start-up notes). If a flush
-fails, :func:`main` exits through ``sys.exit`` instead, so the
-interpreter reports the failure as it always has.
+commands' own work (see the README's start-up notes). If standard
+output cannot be flushed, :func:`main` reports it as :func:`run`
+reports a failed write, and exits 2.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import io
 import json
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -384,8 +385,11 @@ def main() -> None:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
-    except Exception:
-        sys.exit(code)
+    except OSError as exc:
+        # As run() reports a failed write; a lost stderr leaves the code.
+        code = 2
+        with suppress(OSError):
+            print(f"error: {exc}", file=sys.stderr, flush=True)
     os._exit(code)
 
 

@@ -15,11 +15,10 @@ import json
 import re
 import string
 import unicodedata
-from collections.abc import Iterator
 from pathlib import Path
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
-from ._io import DataError
+from ._io import DataError, split_cr, utf8_lines
 
 __all__ = [
     "CorpusError",
@@ -35,16 +34,6 @@ __all__ = [
 
 class CorpusError(DataError):
     """Malformed corpus input. Carries the offending location when known."""
-
-    def __init__(self, message: str, *, line: int | None = None,
-                 byte_offset: int | None = None) -> None:
-        if line is not None:
-            message = f"line {line}: {message}"
-            if byte_offset is not None:
-                message += f" (byte offset {byte_offset})"
-        super().__init__(message)
-        self.line = line
-        self.byte_offset = byte_offset
 
 
 # Section headers recognized when carving out the findings section.
@@ -181,7 +170,6 @@ class CorpusRecord(NamedTuple):
 
 _OPTIONAL_FIELDS = ("reference", "candidate", "label")
 _READ_FIELDS = ("id", "text", *_OPTIONAL_FIELDS)
-_UTF8_BOM = b"\xef\xbb\xbf"
 # A JSON escape such as "\ud800" decodes to a lone surrogate, which no
 # output can encode as UTF-8.
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
@@ -190,8 +178,9 @@ _SURROGATE = re.compile(r"[\ud800-\udfff]")
 def load_corpus(path: str | Path, format: str = "jsonl") -> list[CorpusRecord]:
     """Load a corpus file into records, preserving file order.
 
-    Raises :class:`CorpusError` for malformed rows, with the line number
-    (and byte offset for JSONL) in the message, and for duplicate ids.
+    Raises :class:`CorpusError` for malformed rows, with the line (and the
+    byte offset, where known), and for duplicate ids. JSONL lines end at
+    ``\\n``; CSV lines also at ``\\r\\n`` and a lone ``\\r``.
     """
     path = Path(path)
     if format == "jsonl":
@@ -222,30 +211,11 @@ def _object_from_pairs(pairs: list[tuple[str, object]]) -> dict:
     return obj if len(obj) == len(pairs) else _RepeatedKeys(pairs)
 
 
-def _refuse_repeated(names: list[str], kind: str, line: int,
-                     byte_offset: int | None = None) -> None:
+def _refuse_repeated(names: list[str], kind: str, where: dict) -> None:
     # A repeated name would silently keep its last value.
     for name in _READ_FIELDS:
         if names.count(name) > 1:
-            raise CorpusError(f"{kind} {name!r} is repeated", line=line,
-                              byte_offset=byte_offset)
-
-
-def _utf8_lines(handle: BinaryIO) -> Iterator[tuple[int, int, str]]:
-    """(line number, byte offset, text) of each line, past a leading BOM;
-    a line that is not UTF-8 is a :class:`CorpusError`."""
-    offset = 0
-    for line_no, raw_line in enumerate(handle, start=1):
-        line_offset = offset
-        offset += len(raw_line)
-        if line_no == 1:
-            raw_line = raw_line.removeprefix(_UTF8_BOM)
-        try:
-            text_line = raw_line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"invalid UTF-8: {exc}", line=line_no,
-                              byte_offset=line_offset) from exc
-        yield line_no, line_offset, text_line
+            raise CorpusError(f"{kind} {name!r} is repeated", **where)
 
 
 def _load_jsonl(path: Path) -> list[CorpusRecord]:
@@ -253,72 +223,63 @@ def _load_jsonl(path: Path) -> list[CorpusRecord]:
     # One decoder per file: ``json.loads`` with a hook builds one per line.
     decode = json.JSONDecoder(object_pairs_hook=_object_from_pairs).decode
     with open(path, "rb") as handle:
-        for line_no, line_offset, text_line in _utf8_lines(handle):
+        # JSON Lines ends a line at "\n" only: a lone "\r" is whitespace.
+        for line_no, line_offset, text_line in utf8_lines(handle, CorpusError):
             if not text_line.strip():
                 continue
+            where = {"line": line_no, "byte_offset": line_offset}
             try:
                 obj = decode(text_line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"malformed JSON: {exc.msg}", line=line_no,
-                                  byte_offset=line_offset) from exc
+                raise CorpusError(f"malformed JSON: {exc.msg}",
+                                  **where) from exc
             if not isinstance(obj, dict):
-                raise CorpusError("record is not a JSON object", line=line_no,
-                                  byte_offset=line_offset)
+                raise CorpusError("record is not a JSON object", **where)
             if isinstance(obj, _RepeatedKeys):
-                _refuse_repeated(obj.names, "key", line_no, line_offset)
-            records.append(_record_from_mapping(obj, line_no, line_offset))
+                _refuse_repeated(obj.names, "key", where)
+            records.append(_record_from_mapping(obj, where))
     return records
 
 
 def _load_csv(path: Path) -> list[CorpusRecord]:
     records = []
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                return []
-            missing = {"id", "text"} - set(header)
-            if missing:
-                raise CorpusError("missing required column(s): "
-                                  + ", ".join(sorted(missing)), line=1)
-            _refuse_repeated(header, "column", 1)
-            # A quoted cell may span lines: a record starts on the line after
-            # the previous row ended.  Blank lines hold no record.
+    with open(path, "rb") as handle:
+        reader = csv.reader(text_line for _, _, text_line
+                            in utf8_lines(split_cr(handle), CorpusError))
+        header = next(reader, None)
+        if header is None:
+            return []
+        missing = {"id", "text"} - set(header)
+        if missing:
+            raise CorpusError("missing required column(s): "
+                              + ", ".join(sorted(missing)), line=1)
+        _refuse_repeated(header, "column", {"line": 1})
+        # A quoted cell may span lines: a record starts on the line after
+        # the previous row ended.  Blank lines hold no record.
+        start = reader.line_num + 1
+        for row in reader:
+            if len(row) > len(header):
+                # An unquoted comma split a cell; never drop cells.
+                raise CorpusError(
+                    f"row has {len(row)} cells but the header names "
+                    f"{len(header)}; quote any cell that holds a comma",
+                    line=start)
+            if row:
+                # Empty: an absent optional field, but an empty text.
+                mapping = {k: v for k, v in zip(header, row)
+                           if k in ("id", "text")
+                           or k in _OPTIONAL_FIELDS and v != ""}
+                records.append(_record_from_mapping(mapping, {"line": start}))
             start = reader.line_num + 1
-            for row in reader:
-                if len(row) > len(header):
-                    # An unquoted comma split a cell; never drop cells.
-                    raise CorpusError(
-                        f"row has {len(row)} cells but the header names "
-                        f"{len(header)}; quote any cell that holds a comma",
-                        line=start)
-                if row:
-                    # Empty: an absent optional field, but an empty text.
-                    mapping = {k: v for k, v in zip(header, row)
-                               if k in ("id", "text")
-                               or k in _OPTIONAL_FIELDS and v != ""}
-                    records.append(_record_from_mapping(mapping, start, None))
-                start = reader.line_num + 1
-    except UnicodeDecodeError:
-        # The text reader decodes ahead in chunks, so the error does not
-        # say where it is: find the first bad line as JSONL does.
-        with open(path, "rb") as handle:
-            for _ in _utf8_lines(handle):
-                pass
-        raise
     return records
 
 
-def _record_from_mapping(obj: dict, line_no: int,
-                         byte_offset: int | None) -> CorpusRecord:
+def _record_from_mapping(obj: dict, where: dict) -> CorpusRecord:
     for name in ("id", "text"):
         if name not in obj:
-            raise CorpusError(f"missing required field {name!r}", line=line_no,
-                              byte_offset=byte_offset)
+            raise CorpusError(f"missing required field {name!r}", **where)
         if not isinstance(obj[name], str):
-            raise CorpusError(f"field {name!r} must be a string", line=line_no,
-                              byte_offset=byte_offset)
+            raise CorpusError(f"field {name!r} must be a string", **where)
     label = obj.get("label")
     if label is not None:
         if isinstance(label, str) and label in ("0", "1"):
@@ -327,17 +288,16 @@ def _record_from_mapping(obj: dict, line_no: int,
                 or label not in (0, 1):
             raise CorpusError(
                 f"field 'label' must be 0 or 1, got {obj.get('label')!r}",
-                line=line_no, byte_offset=byte_offset)
+                **where)
     for name in ("reference", "candidate"):
         value = obj.get(name)
         if value is not None and not isinstance(value, str):
-            raise CorpusError(f"field {name!r} must be a string",
-                              line=line_no, byte_offset=byte_offset)
+            raise CorpusError(f"field {name!r} must be a string", **where)
     for name in ("id", "text", "reference", "candidate"):
         value = obj.get(name)
         if value and not value.isascii() and _SURROGATE.search(value):
             raise CorpusError(f"field {name!r} holds a lone surrogate",
-                              line=line_no, byte_offset=byte_offset)
+                              **where)
     return CorpusRecord(
         id=obj["id"],
         text=obj["text"],

@@ -1,6 +1,7 @@
 """Rule file parsing and the token-level template matcher.
 
-A rules file is line oriented UTF-8 with ``#`` comments and four sections:
+A rules file is line oriented UTF-8 (lines end at ``\\n``, ``\\r\\n`` or
+a lone ``\\r``) with ``#`` comments and four sections:
 
     [keywords]       one keyword per line: ``surface`` or ``surface stem``
     [negations]      one pattern per line: ``rule-id: template``
@@ -29,9 +30,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
-from ._io import DataError
+from ._io import DataError, split_cr, utf8_lines
 
 __all__ = [
     "RuleFileError",
@@ -51,12 +52,6 @@ _SECTIONS = ("keywords", "negations", "priors", "change_verbs")
 
 class RuleFileError(DataError):
     """Rules file cannot be parsed or fails validation."""
-
-    def __init__(self, message: str, *, line: int | None = None) -> None:
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class KeywordEntry(NamedTuple):
@@ -327,11 +322,11 @@ class RuleSet:
 
 def load_rules(path: str | Path) -> RuleSet:
     """Parse a rules file, raising :class:`RuleFileError` with line numbers."""
-    path = Path(path)
-    return _parse_rules(path.read_text(encoding="utf-8"))
+    with open(path, "rb") as handle:
+        return _parse_rules(handle)
 
 
-def _parse_rules(content: str) -> RuleSet:
+def _parse_rules(handle: BinaryIO) -> RuleSet:
     keywords: list[KeywordEntry] = []
     negations: list[RuleTemplate] = []
     priors: list[RuleTemplate] = []
@@ -339,7 +334,7 @@ def _parse_rules(content: str) -> RuleSet:
     version = "0"
     section: str | None = None
 
-    for line_no, raw_line in enumerate(content.splitlines(), start=1):
+    for line_no, _, raw_line in utf8_lines(split_cr(handle), RuleFileError):
         line = raw_line.split("#", 1)[0].strip()
         comment = raw_line.split("#", 1)[1].strip() if "#" in raw_line else ""
         if comment.startswith("version:"):
@@ -411,6 +406,6 @@ def _parse_pattern_line(line: str, line_no: int) -> RuleTemplate:
 
 def default_rules() -> RuleSet:
     """Load the rule set bundled with the package."""
-    content = (resources.files("radpriors") / "data" /
-               DEFAULT_RULES_RESOURCE).read_text(encoding="utf-8")
-    return _parse_rules(content)
+    with (resources.files("radpriors") / "data" /
+          DEFAULT_RULES_RESOURCE).open("rb") as handle:
+        return _parse_rules(handle)

@@ -358,6 +358,41 @@ class TestLoadCorpus:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert load_corpus(path, format=format) == want
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_csv_invalid_utf8_names_the_line_the_reader_counts(
+            self, tmp_path, newline):
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(newline.join(["id,text", "a,ok", "b,Heart \xff."])
+                         .encode("latin-1") + newline.encode())
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path, format="csv")
+        assert (err.value.line, err.value.byte_offset) == \
+            (3, 11 + 2 * len(newline))
+
+    @pytest.mark.parametrize("format, bad_line", [
+        ("csv", "r1,Stable, compared to prior exam."),
+        ("jsonl", '{"id": "r1", "text": "Stable.", "id": "r2"}'),
+    ])
+    def test_first_bad_line_wins_over_a_later_invalid_byte(
+            self, tmp_path, format, bad_line):
+        lines = [bad_line] + [f"r{n},Clear." if format == "csv" else
+                              json.dumps({"id": f"r{n}", "text": "Clear."})
+                              for n in range(2, 200)] + ["z,\xff"]
+        if format == "csv":
+            lines.insert(0, "id,text")
+        path = tmp_path / f"corpus.{format}"
+        path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path, format=format)
+        assert "invalid UTF-8" not in str(err.value)
+        assert err.value.line == lines.index(bad_line) + 1
+
+    def test_jsonl_lines_end_at_lf_only(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "a",\r"text": "ok"}\r\n'
+                         b'{"id": "b", "text": "ok"}\r\n')
+        assert [record.id for record in load_corpus(path)] == ["a", "b"]
+
     def test_byte_offset_after_bom_counts_the_bom(self, tmp_path):
         good = json.dumps({"id": "a", "text": "ok"}).encode("utf-8")
         path = tmp_path / "bom.jsonl"

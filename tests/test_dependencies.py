@@ -37,3 +37,26 @@ def test_imports_are_stdlib_or_numpy_in_infusion():
             if module not in sys.stdlib_module_names and module not in allowed:
                 outside.append(f"{path.name}: {module}")
     assert outside == []
+
+
+def decoding_sites(path):
+    """Where ``path`` calls ``.decode(`` or ``.read_text(``, or names the
+    ``utf-8-sig`` codec."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and isinstance(func, ast.Attribute) \
+                and func.attr in ("decode", "read_text"):
+            yield f"{path.name}:{node.lineno}: .{func.attr}("
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.lower().replace("_", "-") == "utf-8-sig":
+            yield f"{path.name}:{node.lineno}: {node.value!r}"
+
+
+def test_only_io_decodes_input():
+    # Corpora and rules files are read through one reader, in _io.
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert "_io.py" in {path.name for path in sources}
+    sites = [site for path in sources if path.name != "_io.py"
+             for site in decoding_sites(path)]
+    assert sites == []

@@ -1,13 +1,17 @@
 """Rules-file parsing and template matching."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import radpriors
+from radpriors.cli import run
 from radpriors.corpus import make_report
 from radpriors.labeler import label_report
-from radpriors.rules import (KeywordEntry, RuleFileError, RuleSet, _Gap,
-                             _Literal, default_rules, load_rules,
-                             parse_template)
+from radpriors.rules import (DEFAULT_RULES_RESOURCE, KeywordEntry,
+                             RuleFileError, RuleSet, _Gap, _Literal,
+                             default_rules, load_rules, parse_template)
 
 QUOTED_KEYWORDS = {"previous", "prior", "preceding", "previously", "again",
                    "comparison", "interval", "increase", "decrease",
@@ -127,6 +131,64 @@ class TestLoadRules:
         assert rules.keyword_for("x-ray") == KeywordEntry("x-", stem=True)
         report = make_report("r", "Stable x-ray x-ray.")
         assert label_report(report, rules).value == 1
+
+
+BUNDLED = (Path(radpriors.__file__).parent / "data" /
+           DEFAULT_RULES_RESOURCE).read_bytes()
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestReadingRulesFiles:
+    """A rules file is UTF-8 with an optional BOM, and its lines end at
+    ``\\n``, ``\\r\\n`` or a lone ``\\r``."""
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"],
+                             ids=["no-bom", "bom"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_bundled_rules_load_alike(self, tmp_path, bom, newline):
+        path = tmp_path / "copy.rules"
+        path.write_bytes(bom + BUNDLED.replace(b"\n", newline))
+        assert load_rules(path) == default_rules()
+
+    def test_invalid_utf8_names_its_line_and_byte_offset(self):
+        with pytest.raises(RuleFileError) as err:
+            load_rules(FIXTURES / "errors" / "invalid-utf8.rules")
+        assert (err.value.line, err.value.byte_offset) == (3, 17)
+        assert str(err.value).startswith("line 3: invalid UTF-8: ")
+        assert str(err.value).endswith(" (byte offset 17)")
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_only_cr_and_lf_end_a_line(self, tmp_path, separator):
+        path = tmp_path / "bad.rules"
+        path.write_text(f"[keywords]\nprior{separator}again\n",
+                        encoding="utf-8")
+        with pytest.raises(RuleFileError) as err:
+            load_rules(path)
+        assert err.value.line == 2
+        assert "bad keyword line" in str(err.value)
+
+    def _label(self, tmp_path, rules_bytes):
+        """The ``label`` output on the fixture corpus under these rules."""
+        rules_path = tmp_path / "edited.rules"
+        rules_path.write_bytes(rules_bytes)
+        out = tmp_path / "labels.jsonl"
+        assert run(["label", "--in", str(FIXTURES / "synthetic50.jsonl"),
+                    "--out", str(out), "--rules", str(rules_path)]) == 0
+        return out.read_bytes()
+
+    def test_bom_and_comment_line_separator_label_as_bundled(self, tmp_path,
+                                                            capsys):
+        bundled = self._label(tmp_path, BUNDLED)
+        assert self._label(tmp_path, b"\xef\xbb\xbf" + BUNDLED) == bundled
+        # The comment's tail would be a keyword if the separator ended it.
+        comment = "[keywords]\n# not listed:{}opacity\n"
+        inside, ended = (BUNDLED.replace(
+            b"[keywords]\n", comment.format(separator).encode("utf-8"))
+            for separator in ("\u2028", "\n"))
+        assert self._label(tmp_path, inside) == bundled
+        assert self._label(tmp_path, ended) != bundled
+        capsys.readouterr()
 
 
 class TestParseTemplate:
