@@ -16,6 +16,9 @@ from radpriors.rules import (DEFAULT_RULES_RESOURCE, KeywordEntry,
 QUOTED_KEYWORDS = {"previous", "prior", "preceding", "previously", "again",
                    "comparison", "interval", "increase", "decrease",
                    "enlarge"}
+BUNDLED = (Path(radpriors.__file__).parent / "data" /
+           DEFAULT_RULES_RESOURCE).read_bytes()
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestDefaultRules:
@@ -131,11 +134,6 @@ class TestLoadRules:
         assert rules.keyword_for("x-ray") == KeywordEntry("x-", stem=True)
         report = make_report("r", "Stable x-ray x-ray.")
         assert label_report(report, rules).value == 1
-
-
-BUNDLED = (Path(radpriors.__file__).parent / "data" /
-           DEFAULT_RULES_RESOURCE).read_bytes()
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestReadingRulesFiles:
