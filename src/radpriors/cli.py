@@ -288,11 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="show program's version number and exit")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(sub: argparse.ArgumentParser, needs_out: bool = True) -> None:
+    def add_io(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--in", dest="infile", required=True,
                          help="input corpus file")
-        if needs_out:
-            sub.add_argument("--out", required=True, help="output file")
+        sub.add_argument("--out", required=True, help="output file")
         sub.add_argument("--format", choices=("jsonl", "csv"),
                          default="jsonl", help="corpus file format")
 
@@ -374,7 +373,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with suppress(OSError):
+            print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -15,6 +15,7 @@ import json
 import re
 import string
 import unicodedata
+from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
 
@@ -178,22 +179,25 @@ _SURROGATE = re.compile(r"[\ud800-\udfff]")
 def load_corpus(path: str | Path, format: str = "jsonl") -> list[CorpusRecord]:
     """Load a corpus file into records, preserving file order.
 
-    Raises :class:`CorpusError` for malformed rows, with the line (and the
-    byte offset, where known), and for duplicate ids. JSONL lines end at
-    ``\\n``; CSV lines also at ``\\r\\n`` and a lone ``\\r``.
+    Raises :class:`CorpusError` at the first malformed row or duplicate
+    id, with its line (and the byte offset, where known). JSONL lines end
+    at ``\\n``; CSV lines also at ``\\r\\n`` and a lone ``\\r``.
     """
     path = Path(path)
     if format == "jsonl":
-        records = _load_jsonl(path)
+        rows = _load_jsonl(path)
     elif format == "csv":
-        records = _load_csv(path)
+        rows = _load_csv(path)
     else:
         raise CorpusError(f"unknown corpus format {format!r}")
+    records = []
     seen: dict[str, int] = {}
-    for record in records:
+    for record, where in rows:
         if record.id in seen:
-            raise CorpusError(f"duplicate id {record.id!r}")
-        seen[record.id] = 1
+            raise CorpusError(f"duplicate id {record.id!r}, first on line "
+                              f"{seen[record.id]}", **where)
+        seen[record.id] = where["line"]
+        records.append(record)
     return records
 
 
@@ -218,8 +222,7 @@ def _refuse_repeated(names: list[str], kind: str, where: dict) -> None:
             raise CorpusError(f"{kind} {name!r} is repeated", **where)
 
 
-def _load_jsonl(path: Path) -> list[CorpusRecord]:
-    records = []
+def _load_jsonl(path: Path) -> Iterator[tuple[CorpusRecord, dict]]:
     # One decoder per file: ``json.loads`` with a hook builds one per line.
     decode = json.JSONDecoder(object_pairs_hook=_object_from_pairs).decode
     with open(path, "rb") as handle:
@@ -237,18 +240,16 @@ def _load_jsonl(path: Path) -> list[CorpusRecord]:
                 raise CorpusError("record is not a JSON object", **where)
             if isinstance(obj, _RepeatedKeys):
                 _refuse_repeated(obj.names, "key", where)
-            records.append(_record_from_mapping(obj, where))
-    return records
+            yield _record_from_mapping(obj, where), where
 
 
-def _load_csv(path: Path) -> list[CorpusRecord]:
-    records = []
+def _load_csv(path: Path) -> Iterator[tuple[CorpusRecord, dict]]:
     with open(path, "rb") as handle:
         reader = csv.reader(text_line for _, _, text_line
                             in utf8_lines(split_cr(handle), CorpusError))
         header = next(reader, None)
         if header is None:
-            return []
+            return
         missing = {"id", "text"} - set(header)
         if missing:
             raise CorpusError("missing required column(s): "
@@ -269,9 +270,9 @@ def _load_csv(path: Path) -> list[CorpusRecord]:
                 mapping = {k: v for k, v in zip(header, row)
                            if k in ("id", "text")
                            or k in _OPTIONAL_FIELDS and v != ""}
-                records.append(_record_from_mapping(mapping, {"line": start}))
+                where = {"line": start}
+                yield _record_from_mapping(mapping, where), where
             start = reader.line_num + 1
-    return records
 
 
 def _record_from_mapping(obj: dict, where: dict) -> CorpusRecord:

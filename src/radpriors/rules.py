@@ -51,7 +51,7 @@ _SECTIONS = ("keywords", "negations", "priors", "change_verbs")
 
 
 class RuleFileError(DataError):
-    """Rules file cannot be parsed or fails validation."""
+    """Malformed rules file. Carries the offending line when known."""
 
 
 class KeywordEntry(NamedTuple):
@@ -190,7 +190,8 @@ class RuleSet:
     of the five constructor fields can be rebound, so they cannot change
     behind the index ``__init__`` builds. Equality and
     ``repr`` cover those five fields only. A rule set is not hashable:
-    defining ``__eq__`` sets ``__hash__`` to None.
+    defining ``__eq__`` sets ``__hash__`` to None. Only a rules file is
+    checked: a set built directly may repeat a keyword or a rule id.
     """
 
     _FIELDS = ("keywords", "negation_patterns", "prior_patterns",
@@ -296,29 +297,6 @@ class RuleSet:
                                 if entry.matches(token)), None)
         return memo[token]
 
-    def validate(self) -> None:
-        surfaces = set()
-        for entry in self.keywords:
-            if not entry.surface or entry.surface != entry.surface.lower():
-                raise RuleFileError(
-                    f"keyword {entry.surface!r} must be non-empty lowercase")
-            if any(ch.isspace() for ch in entry.surface):
-                raise RuleFileError(
-                    f"keyword {entry.surface!r} must be a single token")
-            if entry.surface in surfaces:
-                raise RuleFileError(f"duplicate keyword {entry.surface!r}")
-            surfaces.add(entry.surface)
-        missing = self.change_verbs - surfaces
-        if missing:
-            raise RuleFileError(
-                "change verbs not in keyword list: "
-                + ", ".join(sorted(missing)))
-        ids = set()
-        for template in self.negation_patterns + self.prior_patterns:
-            if template.rule_id in ids:
-                raise RuleFileError(f"duplicate rule id {template.rule_id!r}")
-            ids.add(template.rule_id)
-
 
 def load_rules(path: str | Path) -> RuleSet:
     """Parse a rules file, raising :class:`RuleFileError` with line numbers."""
@@ -330,13 +308,16 @@ def _parse_rules(handle: BinaryIO) -> RuleSet:
     keywords: list[KeywordEntry] = []
     negations: list[RuleTemplate] = []
     priors: list[RuleTemplate] = []
-    change_verbs: list[str] = []
+    # The first line of each keyword surface, rule id and change verb.
+    surface_lines: dict[str, int] = {}
+    rule_id_lines: dict[str, int] = {}
+    change_verbs: dict[str, int] = {}
     version = "0"
     section: str | None = None
 
     for line_no, _, raw_line in utf8_lines(split_cr(handle), RuleFileError):
-        line = raw_line.split("#", 1)[0].strip()
-        comment = raw_line.split("#", 1)[1].strip() if "#" in raw_line else ""
+        line, _, comment = raw_line.partition("#")
+        line, comment = line.strip(), comment.strip()
         if comment.startswith("version:"):
             version = comment.split(":", 1)[1].strip()
         if not line:
@@ -350,26 +331,40 @@ def _parse_rules(handle: BinaryIO) -> RuleSet:
         if section is None:
             raise RuleFileError("content before any section header", line=line_no)
         if section == "keywords":
-            keywords.append(_parse_keyword_line(line, line_no))
+            entry = _parse_keyword_line(line, line_no)
+            _refuse_repeat(surface_lines, "keyword", entry.surface, line_no)
+            keywords.append(entry)
         elif section in ("negations", "priors"):
             template = _parse_pattern_line(line, line_no)
+            _refuse_repeat(rule_id_lines, "rule id", template.rule_id, line_no)
             (negations if section == "negations" else priors).append(template)
         else:
             if any(ch.isspace() for ch in line):
                 raise RuleFileError(
                     f"change verb {line!r} must be a single keyword surface",
                     line=line_no)
-            change_verbs.append(line.lower())
+            change_verbs.setdefault(line.lower(), line_no)
 
-    ruleset = RuleSet(
+    # A keyword may follow its change verb, so these wait for the last line.
+    for verb, line_no in change_verbs.items():
+        if verb not in surface_lines:
+            raise RuleFileError(f"change verb {verb!r} is not a keyword",
+                                line=line_no)
+    return RuleSet(
         keywords=keywords,
         negation_patterns=negations,
         prior_patterns=priors,
         change_verbs=frozenset(change_verbs),
         version=version,
     )
-    ruleset.validate()
-    return ruleset
+
+
+def _refuse_repeat(first_lines: dict[str, int], kind: str, name: str,
+                   line_no: int) -> None:
+    first = first_lines.setdefault(name, line_no)
+    if first != line_no:
+        raise RuleFileError(
+            f"duplicate {kind} {name!r}, first on line {first}", line=line_no)
 
 
 def _parse_keyword_line(line: str, line_no: int) -> KeywordEntry:

@@ -263,7 +263,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["label", "--in", "dup.jsonl", "--out", "out"],
-         "duplicate id 'a'"),
+         "line 2: duplicate id 'a', first on line 1 (byte offset 25)"),
         (["eval", "--in", str(FIXTURES / "golden4.jsonl"), "--out", "out"],
          "record 't1' has no candidate"),
         (["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
@@ -625,8 +625,8 @@ def _cli_process(entry, argv, workdir, sink, unbuffered):
     in the new directory ``workdir``.
 
     ``sink`` is where stdout goes: "pipe", "file", "closed" (``>&-``) or
-    "broken" (a pipe whose reader has closed). stderr goes to a pipe, or
-    to a file with "file".
+    "broken" (a pipe whose reader has closed). stderr goes to a pipe, to
+    a file with "file", and to the same broken pipe with "broken-both".
     """
     env = {**os.environ,
            "PYTHONPATH": str(Path(radpriors.__file__).resolve().parents[1])}
@@ -638,16 +638,18 @@ def _cli_process(entry, argv, workdir, sink, unbuffered):
     streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
     if sink == "closed":
         command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
-    elif sink == "broken":
+    elif sink.startswith("broken"):
         reader, streams["stdout"] = os.pipe()
         os.close(reader)
+        if sink == "broken-both":
+            streams["stderr"] = streams["stdout"]
     elif sink == "file":
         streams = {name: open(f"{workdir}.{name}", "w+b")
                    for name in ("stdout", "stderr")}
     try:
         done = subprocess.run(command, cwd=workdir, env=env, **streams)
     finally:
-        if sink == "broken":
+        if sink.startswith("broken"):
             os.close(streams["stdout"])
     if sink == "file":
         for name, handle in streams.items():
@@ -711,3 +713,20 @@ class TestProcessExit:
             # Teardown alone would end the buffered process with 120.
             assert (code, err) == (2, b"error: [Errno 32] Broken pipe\n")
             assert before[0] == (2 if unbuffered else 120)
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_lost_stdout_and_stderr_exit_2(self, command, unbuffered,
+                                           tmp_path, monkeypatch, capsys):
+        argv = [str(arg) for arg in _EXIT_CASES[command, 0]]
+        code, _, _, files = _cli_process(_MAIN, argv, tmp_path / "main",
+                                         "broken-both", unbuffered)
+        # Unbuffered, run's own report of the failed print fails too.
+        assert code == 2
+        (tmp_path / "in-process").mkdir()
+        monkeypatch.chdir(tmp_path / "in-process")
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert files == {path.name: path.read_bytes()
+                         for path in Path.cwd().iterdir()}

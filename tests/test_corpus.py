@@ -216,13 +216,28 @@ class TestLoadCorpus:
         assert err.value.byte_offset == len(good) + 1
         assert "line 2" in str(err.value)
 
-    def test_duplicate_id_is_named(self, tmp_path):
+    def test_duplicate_id_names_its_line_and_the_first(self, tmp_path):
+        first = json.dumps({"id": "dup", "text": "one"})
         path = self._write(tmp_path, [
-            json.dumps({"id": "dup", "text": "one"}),
-            json.dumps({"id": "dup", "text": "two"}),
-        ])
-        with pytest.raises(CorpusError, match="dup"):
+            first, json.dumps({"id": "dup", "text": "two"})])
+        with pytest.raises(CorpusError) as err:
             load_corpus(path)
+        assert str(err.value) == ("line 2: duplicate id 'dup', first on "
+                                  f"line 1 (byte offset {len(first) + 1})")
+
+    @pytest.mark.parametrize("format, lines, message", [
+        ("jsonl", ['{"id": "a", "text": "x"}', '{"id": "a", "text": "y"}',
+                   '{"id": "b", "text": }'],
+         "line 2: duplicate id 'a', first on line 1 (byte offset 25)"),
+        ("csv", ["id,text", 'a,"two', 'lines"', "a,y", "b,x,z"],
+         "line 4: duplicate id 'a', first on line 2"),
+    ])
+    def test_duplicate_id_wins_over_a_later_bad_line(self, tmp_path, format,
+                                                     lines, message):
+        path = self._write(tmp_path, lines, f"corpus.{format}")
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path, format=format)
+        assert str(err.value) == message
 
     def test_label_validation(self, tmp_path):
         bad = self._write(tmp_path, [

@@ -15,7 +15,7 @@ from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
                                Verdict, aggregate, classify_mentions,
                                extract_mentions, label_corpus, label_report)
 from radpriors.rules import (KeywordEntry, RuleSet, default_rules,
-                             parse_template)
+                             load_rules, parse_template)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_GEN = Path(__file__).parent.parent / "bench" / "gen.py"
@@ -324,18 +324,9 @@ class TestExtractMentionsEqualsReference:
                 [id(m.keyword) for m in want]
 
 
-# Non-ASCII keywords: "früher", the final-sigma word "ας", and two stems
-# that the Kelvin sign ("\u212a" lowercases to "k") and the dotted capital
-# I ("İ" lowercases to "i" plus a combining dot) reach.
-CUSTOM_RULES = RuleSet(
-    keywords=[KeywordEntry("früher"), KeywordEntry("ας"),
-              KeywordEntry("kv", stem=True), KeywordEntry("i\u0307", stem=True)],
-    negation_patterns=[parse_template("neg-no", "no ..1 {m}")],
-    prior_patterns=[parse_template("prior-exam", "{m} ..1 exam|film"),
-                    parse_template("marker-compared", "compared to {m}")],
-    change_verbs=frozenset())
-CUSTOM_RULES.validate()
-# Built directly and unvalidated: its one surface crosses a sentence
+# Non-ASCII keywords, read and checked by the rules parser.
+CUSTOM_RULES = load_rules(FIXTURES / "custom.rules")
+# Built directly and unchecked: its one surface crosses a sentence
 # boundary, so it is in the findings text but can never be a token.
 STRADDLING_RULES = RuleSet(
     keywords=[KeywordEntry("clear. prior")], negation_patterns=[],

@@ -10,8 +10,8 @@ from radpriors.cli import run
 from radpriors.corpus import make_report
 from radpriors.labeler import label_report
 from radpriors.rules import (DEFAULT_RULES_RESOURCE, KeywordEntry,
-                             RuleFileError, RuleSet, _Gap, _Literal,
-                             default_rules, load_rules, parse_template)
+                             RuleFileError, _Gap, _Literal, default_rules,
+                             load_rules, parse_template)
 
 QUOTED_KEYWORDS = {"previous", "prior", "preceding", "previously", "again",
                    "comparison", "interval", "increase", "decrease",
@@ -39,9 +39,6 @@ class TestDefaultRules:
         rules = default_rules()
         ids = [t.rule_id for t in rules.negation_patterns + rules.prior_patterns]
         assert len(ids) == len(set(ids))
-
-    def test_validates(self):
-        default_rules().validate()
 
 
 class TestLoadRules:
@@ -88,14 +85,44 @@ class TestLoadRules:
         path = tmp_path / "bad.rules"
         path.write_text("[keywords]\nprior\n[change_verbs]\nincrease\n",
                         encoding="utf-8")
-        with pytest.raises(RuleFileError, match="increase"):
+        with pytest.raises(RuleFileError) as err:
             load_rules(path)
+        assert str(err.value) == \
+            "line 4: change verb 'increase' is not a keyword"
+
+    def test_change_verb_may_come_before_its_keyword(self, tmp_path):
+        path = tmp_path / "ok.rules"
+        path.write_text("[change_verbs]\nincrease\n"
+                        "[keywords]\nincrease stem\n", encoding="utf-8")
+        assert load_rules(path).change_verbs == {"increase"}
 
     def test_duplicate_keyword_rejected(self, tmp_path):
         path = tmp_path / "bad.rules"
         path.write_text("[keywords]\nprior\nprior stem\n", encoding="utf-8")
-        with pytest.raises(RuleFileError, match="prior"):
+        with pytest.raises(RuleFileError) as err:
             load_rules(path)
+        assert str(err.value) == \
+            "line 3: duplicate keyword 'prior', first on line 2"
+
+    @pytest.mark.parametrize("content, line, first", [
+        ("[priors]\nr1: {m} study\nr1: {m} exam\n", 3, 2),
+        ("[negations]\nr1: no {m}\n\n[priors]\nr1: {m} study\n", 5, 2),
+    ], ids=["one-section", "across-sections"])
+    def test_duplicate_rule_id_rejected(self, tmp_path, content, line, first):
+        path = tmp_path / "bad.rules"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(RuleFileError) as err:
+            load_rules(path)
+        assert str(err.value) == \
+            f"line {line}: duplicate rule id 'r1', first on line {first}"
+
+    def test_repeat_is_refused_ahead_of_a_later_bad_line(self, tmp_path):
+        path = tmp_path / "bad.rules"
+        path.write_text("[keywords]\nprior\nprior\n[change_verbs]\nincrease\n"
+                        "[priors]\nr1: compared to\n", encoding="utf-8")
+        with pytest.raises(RuleFileError) as err:
+            load_rules(path)
+        assert err.value.line == 3
 
     def test_keyword_case_normalized_on_load(self, tmp_path):
         path = tmp_path / "mixed.rules"
@@ -254,25 +281,6 @@ class TestTemplateMatching:
         t = parse_template("r", "in the {m}")
         tokens = ["cleared", "in", "the", "interval"]
         assert t.match(tokens, (3, 4)) == (1, 4)
-
-
-class TestRuleSetValidate:
-    def test_duplicate_rule_ids_rejected(self):
-        rules = RuleSet(
-            keywords=[],
-            negation_patterns=[parse_template("r1", "no {m}")],
-            prior_patterns=[parse_template("r1", "{m} study")],
-            change_verbs=frozenset())
-        with pytest.raises(RuleFileError, match="r1"):
-            rules.validate()
-
-    def test_uppercase_keyword_rejected(self):
-        from radpriors.rules import KeywordEntry
-        rules = RuleSet(keywords=[KeywordEntry("Prior")],
-                        negation_patterns=[], prior_patterns=[],
-                        change_verbs=frozenset())
-        with pytest.raises(RuleFileError, match="lowercase"):
-            rules.validate()
 
 
 # Reference matcher: the parser and the two mirrored recursive matchers
