@@ -216,7 +216,7 @@ class TestLoadCorpus:
         assert err.value.byte_offset == len(good) + 1
         assert "line 2" in str(err.value)
 
-    def test_duplicate_id_names_its_line_and_the_first(self, tmp_path):
+    def test_duplicate_id_is_named(self, tmp_path):
         first = json.dumps({"id": "dup", "text": "one"})
         path = self._write(tmp_path, [
             first, json.dumps({"id": "dup", "text": "two"})])
@@ -231,7 +231,7 @@ class TestLoadCorpus:
          "line 2: duplicate id 'a', first on line 1 (byte offset 25)"),
         ("csv", ["id,text", 'a,"two', 'lines"', "a,y", "b,x,z"],
          "line 4: duplicate id 'a', first on line 2"),
-    ])
+    ], ids=["jsonl", "csv"])
     def test_duplicate_id_wins_over_a_later_bad_line(self, tmp_path, format,
                                                      lines, message):
         path = self._write(tmp_path, lines, f"corpus.{format}")
