@@ -1,7 +1,8 @@
-"""Pieces every command loads: data errors, input lines, atomic writes."""
+"""Pieces every command loads: data errors, input lines, output files."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -55,19 +56,32 @@ def utf8_lines(raw_lines: Iterable[bytes], error: type[DataError]
         yield line_no, line_offset, text_line
 
 
+def indented_json(obj: object) -> str:
+    """``obj`` as every indented JSON output file holds it."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` via a sibling temp file and rename.
 
-    A failed run never leaves a partially written file at ``path``.
+    A failed write leaves neither part of a file at ``path`` nor the
+    temp file, and its ``OSError`` names ``path`` as given. The file's
+    mode is a plain ``open``'s: 0o666 less the umask.
     """
-    path = Path(path)
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=path.parent, prefix=f".{path.name}.",
-        suffix=".tmp", delete=False)
+    target = Path(path)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
-    except BaseException:
-        os.unlink(handle.name)
-        raise
+        handle = tempfile.NamedTemporaryFile(
+            "w", encoding="utf-8", dir=target.parent,
+            prefix=f".{target.name}.", suffix=".tmp", delete=False)
+        try:
+            with handle:
+                handle.write(text)
+            os.chmod(handle.name, 0o666 & ~umask)
+            os.replace(handle.name, target)
+        except BaseException:
+            os.unlink(handle.name)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc

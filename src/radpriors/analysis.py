@@ -11,12 +11,11 @@ from __future__ import annotations
 import bisect
 import csv
 import io
-import json
 import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from ._io import atomic_write_text
+from ._io import indented_json
 
 __all__ = [
     "ScoreRow",
@@ -55,15 +54,7 @@ class StratumStats(NamedTuple):
     mean_token_length: float
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.min,
-            "max": self.max,
-            "histogram": self.histogram.to_dict(),
-            "mean_token_length": self.mean_token_length,
-        }
+        return {**self._asdict(), "histogram": self.histogram.to_dict()}
 
 
 class StratifiedSummary(NamedTuple):
@@ -141,18 +132,18 @@ def stratify(rows: Sequence[ScoreRow], bins: int = DEFAULT_BINS,
 
 
 def plot_stats_path(csv_path: str | Path) -> Path:
-    """Where ``emit_plot_data`` writes the stats JSON for ``csv_path``."""
+    """Where the stats JSON for ``csv_path`` goes."""
     return Path(csv_path).with_suffix(".json")
 
 
-def emit_plot_data(summary: StratifiedSummary, csv_path: str | Path) -> Path:
-    """Write histogram bins as CSV and the stats block as JSON.
+def emit_plot_data(summary: StratifiedSummary,
+                   csv_path: str | Path) -> dict[str | Path, str]:
+    """Histogram bins as CSV and the stats block as JSON; writes nothing.
 
-    The JSON lands next to the CSV with a ``.json`` suffix; its path is
-    returned. Absent strata are omitted from the CSV and null in the
-    JSON. Floats use their shortest exact decimal form.
+    Returns ``{csv_path: csv_text, plot_stats_path(csv_path): json_text}``.
+    Absent strata are omitted from the CSV and null in the JSON. Floats
+    use their shortest exact decimal form.
     """
-    json_path = plot_stats_path(csv_path)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["label", "bin_start", "bin_end", "count"])
@@ -164,8 +155,5 @@ def emit_plot_data(summary: StratifiedSummary, csv_path: str | Path) -> Path:
         for i, count in enumerate(stratum.histogram.counts):
             writer.writerow([label_value, repr(edges[i]),
                              repr(edges[i + 1]), count])
-    atomic_write_text(csv_path, buffer.getvalue())
-    atomic_write_text(json_path,
-                      json.dumps(summary.to_dict(), indent=2, sort_keys=True)
-                      + "\n")
-    return json_path
+    return {csv_path: buffer.getvalue(),
+            plot_stats_path(csv_path): indented_json(summary.to_dict())}

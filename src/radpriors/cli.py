@@ -1,9 +1,12 @@
 """Command-line entry points: label, eval, analyze, infuse-demo.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for data errors (the
-message names the offending record id or line). Output files are written
-to a temporary file and renamed into place so failed runs never leave
-partial outputs behind.
+message names the offending record id or line). Each command returns
+its output files' texts, in write order, and its standard output;
+:func:`run` alone writes each file to a temporary file renamed into
+place, and then prints. So no file is left half-written, and nothing is
+printed unless every file is in place; but an OS error on a later file
+can leave the earlier ones.
 
 Each command imports the modules it runs when it runs, so ``infuse-demo``
 loads no corpus code and ``label`` and ``eval`` load no numpy.
@@ -27,12 +30,13 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable
 from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from ._io import DataError, atomic_write_text
+from ._io import DataError, atomic_write_text, indented_json
 
 if TYPE_CHECKING:
     from .analysis import StratifiedSummary
@@ -52,10 +56,12 @@ _FILE_OPTIONS = (("--in", "infile"), ("--out", "out"),
 _METRIC_NAMES = ("bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "cider")
 
 
-def _metric_value(row, metric: str) -> float:
-    if metric.startswith("bleu"):
-        return row.bleu[int(metric[4:]) - 1]
-    return getattr(row, metric)
+def _with_labels(metrics: MetricReport,
+                 labels: Iterable[int | None]) -> MetricReport:
+    """``metrics`` with its per-report rows labeled in order."""
+    return metrics._replace(per_report=[
+        row._replace(label=label)
+        for row, label in zip(metrics.per_report, labels)])
 
 
 class PipelineResult(NamedTuple):
@@ -87,12 +93,9 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
         raise ValueError(f"unknown metric {metric!r}")
     rules = rules or default_rules()
     labels, counts = label_corpus(records, rules, text_source="candidate")
-    metrics = evaluate_corpus(records)
-    metrics = metrics._replace(per_report=[
-        row._replace(label=label.value)
-        for row, label in zip(metrics.per_report, labels)
-    ])
-    rows = [ScoreRow(score=_metric_value(row, metric), label=row.label,
+    metrics = _with_labels(evaluate_corpus(records),
+                           (label.value for label in labels))
+    rows = [ScoreRow(score=row.to_dict()[metric], label=row.label,
                      length=row.candidate_length)
             for row in metrics.per_report]
     value_range = (0.0, 10.0) if metric == "cider" else (0.0, 1.0)
@@ -129,53 +132,48 @@ def _label_jsonl(records: list[CorpusRecord],
     return "".join(lines)
 
 
-def _cmd_label(args: argparse.Namespace) -> int:
+def _cmd_label(args: argparse.Namespace) -> tuple[dict, str]:
     from .corpus import load_corpus
     from .labeler import label_corpus
 
     records = load_corpus(args.infile, format=args.format)
     rules = _load_ruleset(args.rules)
     labels, counts = label_corpus(records, rules, text_source=args.label_on)
-    atomic_write_text(args.out, _label_jsonl(records, labels))
     summary = json.dumps(counts.to_dict(), sort_keys=True)
+    files = {args.out: _label_jsonl(records, labels)}
     if args.summary:
-        atomic_write_text(args.summary, summary + "\n")
-    print(summary)
-    return 0
+        files[args.summary] = summary + "\n"
+    return files, summary
 
 
 def _per_report_csv(metrics: MetricReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["id", "bleu1", "bleu2", "bleu3", "bleu4", "rouge_l",
-                     "cider", "label"])
+    writer.writerow(["id", *_METRIC_NAMES, "label"])
     for row in metrics.per_report:
-        values = [repr(v) for v in (*row.bleu, row.rouge_l, row.cider)]
-        label = "" if row.label is None else row.label
-        writer.writerow([row.id, *values, label])
+        values = row.to_dict()
+        writer.writerow([row.id,
+                         *(repr(values[name]) for name in _METRIC_NAMES),
+                         values.get("label", "")])
     return buffer.getvalue()
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> tuple[dict, str]:
     from .corpus import load_corpus
     from .metrics import evaluate_corpus
 
     records = load_corpus(args.infile, format=args.format)
     metrics = evaluate_corpus(records)
     if args.gold_labels:
-        metrics = metrics._replace(per_report=[
-            row._replace(label=record.gold_label)
-            for row, record in zip(metrics.per_report, records)
-        ])
-    atomic_write_text(args.out,
-                  json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
+        metrics = _with_labels(metrics,
+                               (record.gold_label for record in records))
+    files = {args.out: indented_json(metrics.to_dict())}
     if args.csv:
-        atomic_write_text(args.csv, _per_report_csv(metrics))
-    print(json.dumps(metrics.corpus.to_dict(), sort_keys=True))
-    return 0
+        files[args.csv] = _per_report_csv(metrics)
+    return files, json.dumps(metrics.corpus.to_dict(), sort_keys=True)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
     from .analysis import emit_plot_data
     from .corpus import load_corpus
 
@@ -195,18 +193,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "corpus_metrics": result.metrics.corpus.to_dict(),
         "positive_mean_below_negative": positive_below,
     }
-    atomic_write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    files = {args.out: indented_json(payload)}
     if args.csv:
-        atomic_write_text(args.csv, _per_report_csv(result.metrics))
+        files[args.csv] = _per_report_csv(result.metrics)
     if args.plot_data:
-        emit_plot_data(result.summary, args.plot_data)
-    print(json.dumps({"counts": result.counts.to_dict(),
-                      "positive_mean_below_negative": positive_below},
-                     sort_keys=True))
-    return 0
+        files.update(emit_plot_data(result.summary, args.plot_data))
+    return files, json.dumps({"counts": result.counts.to_dict(),
+                              "positive_mean_below_negative": positive_below},
+                             sort_keys=True)
 
 
-def _cmd_infuse_demo(args: argparse.Namespace) -> int:
+def _cmd_infuse_demo(args: argparse.Namespace) -> tuple[dict, str]:
     from .infusion import ToyModel, demo_image_pair, forward, grad_check
 
     model = ToyModel(args.seed)
@@ -215,21 +212,20 @@ def _cmd_infuse_demo(args: argparse.Namespace) -> int:
                      max_len=args.max_len)
     report = (grad_check(model, images, prior=float(args.prior))
               if args.grad_check else None)
+    files = {}
     if args.emit_latents:
-        payload = {
+        files[args.emit_latents] = indented_json({
             "seed": args.seed,
             "prior": args.prior,
             "tokens": result.tokens,
             "latent": result.latent.tolist(),
             "latent_infused": result.latent_infused.tolist(),
-        }
-        atomic_write_text(args.emit_latents,
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    # Printed after the file is written, so a lost stdout loses no file.
-    print(f"seed={args.seed} prior={args.prior} tokens={result.tokens}")
+        })
+    printed = f"seed={args.seed} prior={args.prior} tokens={result.tokens}"
     if report is not None:
-        print(f"grad-check max relative error: {report.max_rel_error:.3e}")
-    return 0
+        printed += ("\ngrad-check max relative error: "
+                    f"{report.max_rel_error:.3e}")
+    return files, printed
 
 
 def _int_at_least(low: int, what: str):
@@ -371,11 +367,15 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        files, printed = args.func(args)
+        for path, text in files.items():
+            atomic_write_text(path, text)
+        print(printed)
     except (DataError, OSError) as exc:
         with suppress(OSError):
             print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

@@ -191,7 +191,6 @@ def _encode(model: ToyModel, images: ImagePair,
     steps entirely (the baseline path), which is distinct from adding a
     zero.
     """
-    prior = None if prior is None else _check_prior(prior)
     patches = _flatten_patches(images)
     p = model.params
     V = patches @ p["W_proj"]

@@ -91,8 +91,7 @@ class LabelCounts(NamedTuple):
     total: int
 
     def to_dict(self) -> dict[str, int]:
-        return {"negative": self.negative, "positive": self.positive,
-                "total": self.total}
+        return self._asdict()
 
 
 def extract_mentions(report: Report, rules: RuleSet) -> list[Mention]:

@@ -94,8 +94,8 @@ def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_l(candidate: Sequence[Hashable], reference: Sequence[Hashable],
-            beta: float = ROUGE_BETA) -> float:
+def rouge_l(candidate: Sequence[Hashable],
+            reference: Sequence[Hashable]) -> float:
     """ROUGE-L F-measure of tokens or token ids. Empty sides score 0."""
     if not candidate or not reference:
         return 0.0
@@ -104,7 +104,7 @@ def rouge_l(candidate: Sequence[Hashable], reference: Sequence[Hashable],
         return 0.0
     precision = lcs / len(candidate)
     recall = lcs / len(reference)
-    beta_sq = beta * beta
+    beta_sq = ROUGE_BETA * ROUGE_BETA
     return ((1.0 + beta_sq) * precision * recall
             / (recall + beta_sq * precision))
 
@@ -276,6 +276,13 @@ def cider(candidates: list[list[str]],
     return scores.pair_cider, scores.corpus_cider
 
 
+def _metric_values(scores: ReportScores | CorpusScores) -> dict[str, float]:
+    """The six metrics of a score record, by the names they are written as."""
+    bleu1, bleu2, bleu3, bleu4 = scores.bleu
+    return {"bleu1": bleu1, "bleu2": bleu2, "bleu3": bleu3, "bleu4": bleu4,
+            "rouge_l": scores.rouge_l, "cider": scores.cider}
+
+
 class ReportScores(NamedTuple):
     id: str
     bleu: tuple[float, float, float, float]
@@ -286,11 +293,7 @@ class ReportScores(NamedTuple):
     candidate_length: int = 0
 
     def to_dict(self) -> dict:
-        row: dict = {"id": self.id}
-        for order, value in enumerate(self.bleu, start=1):
-            row[f"bleu{order}"] = value
-        row["rouge_l"] = self.rouge_l
-        row["cider"] = self.cider
+        row: dict = {"id": self.id, **_metric_values(self)}
         if self.label is not None:
             row["label"] = self.label
         return row
@@ -302,11 +305,7 @@ class CorpusScores(NamedTuple):
     cider: float
 
     def to_dict(self) -> dict:
-        row = {f"bleu{order}": value
-               for order, value in enumerate(self.bleu, start=1)}
-        row["rouge_l"] = self.rouge_l
-        row["cider"] = self.cider
-        return row
+        return _metric_values(self)
 
 
 class MetricReport(NamedTuple):

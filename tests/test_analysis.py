@@ -1,6 +1,7 @@
 """Stratified score summaries, label counts, plot data."""
 
 import csv
+import io
 import json
 import math
 import random
@@ -161,52 +162,53 @@ class TestCountLabels:
 
 
 class TestEmitPlotData:
-    def test_single_stratum_has_twenty_rows(self, tmp_path):
+    def test_returns_the_csv_then_the_stats_json_beside_it(self):
+        summary = stratify(rows_from({0: [0.3]}))
+        texts = emit_plot_data(summary, "out/plot.csv")
+        assert list(texts) == ["out/plot.csv", Path("out/plot.json")]
+
+    def test_single_stratum_has_twenty_rows(self):
         summary = stratify(rows_from({0: [0.1, 0.2, 0.9]}))
-        csv_path = tmp_path / "plot.csv"
-        json_path = emit_plot_data(summary, csv_path)
-        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        csv_text, json_text = emit_plot_data(summary, "plot.csv").values()
+        lines = csv_text.splitlines()
         assert lines[0] == "label,bin_start,bin_end,count"
         assert len(lines) == 1 + 20
-        blob = json.loads(json_path.read_text(encoding="utf-8"))
+        blob = json.loads(json_text)
         assert blob["positive"] is None
         assert blob["negative"]["count"] == 3
 
-    def test_round_trip_counts(self, tmp_path):
+    def test_round_trip_counts(self):
         rng = random.Random(41)
         rows = rows_from({0: [rng.random() for _ in range(20)],
                           1: [rng.random() for _ in range(15)]})
         summary = stratify(rows)
-        csv_path = tmp_path / "plot.csv"
-        emit_plot_data(summary, csv_path)
+        csv_text = emit_plot_data(summary, "plot.csv")["plot.csv"]
         recounted = {0: [0] * 20, 1: [0] * 20}
-        with open(csv_path, newline="", encoding="utf-8") as handle:
-            for i, row in enumerate(csv.DictReader(handle)):
-                recounted[int(row["label"])][i % 20] = int(row["count"])
+        rows = csv.DictReader(io.StringIO(csv_text, newline=""))
+        for i, row in enumerate(rows):
+            recounted[int(row["label"])][i % 20] = int(row["count"])
         assert tuple(recounted[0]) == summary.negative.histogram.counts
         assert tuple(recounted[1]) == summary.positive.histogram.counts
 
-    def test_bin_edges_parse_back_exactly(self, tmp_path):
+    def test_bin_edges_parse_back_exactly(self):
         summary = stratify(rows_from({0: [0.3]}))
-        csv_path = tmp_path / "plot.csv"
-        emit_plot_data(summary, csv_path)
-        with open(csv_path, newline="", encoding="utf-8") as handle:
-            starts = [float(row["bin_start"])
-                      for row in csv.DictReader(handle)]
+        csv_text = emit_plot_data(summary, "plot.csv")["plot.csv"]
+        starts = [float(row["bin_start"])
+                  for row in csv.DictReader(io.StringIO(csv_text, newline=""))]
         assert tuple(starts) == summary.negative.histogram.bin_edges[:-1]
 
-    def test_metadata_documents_choices(self, tmp_path):
+    def test_metadata_documents_choices(self):
         summary = stratify(rows_from({0: [0.3]}))
-        json_path = emit_plot_data(summary, tmp_path / "plot.csv")
-        metadata = json.loads(json_path.read_text(encoding="utf-8"))["metadata"]
+        json_text = emit_plot_data(summary, "plot.csv")[Path("plot.json")]
+        metadata = json.loads(json_text)["metadata"]
         assert metadata["bins"] == 20
         assert metadata["std"] == "population"
         assert metadata["range"] == [0.0, 1.0]
 
-    def test_unwritable_path_is_an_error(self, tmp_path):
-        summary = stratify(rows_from({0: [0.3]}))
-        with pytest.raises(OSError):
-            emit_plot_data(summary, tmp_path / "missing_dir" / "plot.csv")
+    def test_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        emit_plot_data(stratify(rows_from({0: [0.3]})), "plot.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_histogram_edges_match_numpy(self):
         summary = stratify(rows_from({0: [0.25, 0.75]}))

@@ -303,6 +303,18 @@ class TestExitCodes:
         assert not list(tmp_path.glob("*.tmp"))
         capsys.readouterr()
 
+    def test_an_unwritable_later_file_exits_2_and_prints_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        # Whether the earlier e.json remains is not promised either way.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert run(["eval", "--in", str(FIXTURES / "eval3.jsonl"),
+                    "--out", "e.json", "--csv", "d"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [Errno ") and err.endswith(": 'd'\n")
+        assert not list(tmp_path.rglob("*.tmp"))
+
 
 _LABEL_EVAL_ANALYZE = """
 import sys

@@ -1,4 +1,5 @@
-"""Static audit of the package's imports: standard library and numpy only."""
+"""Static audit of the package: its imports are the standard library and
+numpy only, one module decodes input, and one function writes output."""
 
 import ast
 import sys
@@ -60,3 +61,74 @@ def test_only_io_decodes_input():
     sites = [site for path in sources if path.name != "_io.py"
              for site in decoding_sites(path)]
     assert sites == []
+
+
+def _mode_argument(call, index):
+    """The mode an ``open`` call passes at ``index`` or as ``mode=``;
+    ``"r"`` when it passes none, None when it is not a constant."""
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return getattr(keyword.value, "value", None)
+    if len(call.args) > index:
+        return getattr(call.args[index], "value", None)
+    return "r"
+
+
+class _WriteSites(ast.NodeVisitor):
+    """Calls of ``atomic_write_text`` and calls that open a file for
+    writing, each with the qualified name of the function around it."""
+
+    MAKERS = {"write_text", "write_bytes", "NamedTemporaryFile",
+              "TemporaryFile", "SpooledTemporaryFile", "mkstemp", "fdopen"}
+
+    def __init__(self):
+        self.scope = []
+        self.writes = []
+        self.opens = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        where = ".".join(self.scope)
+        if name == "atomic_write_text":
+            self.writes.append(where)
+        elif name == "open":
+            is_os_open = getattr(getattr(func, "value", None), "id", "") == "os"
+            mode = _mode_argument(node, 1 if isinstance(func, ast.Name) else 0)
+            if is_os_open or not isinstance(mode, str) \
+                    or set(mode) & set("wax+"):
+                self.opens.append(f"{where}:{node.lineno}")
+        elif name in self.MAKERS:
+            self.opens.append(f"{where}:{node.lineno}")
+        self.generic_visit(node)
+
+
+def write_sites():
+    """{module name: its _WriteSites} for each module of the package."""
+    sites = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _WriteSites()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8"),
+                                filename=str(path)))
+        sites[path.stem] = visitor
+    return sites
+
+
+def test_only_cli_run_writes_output_files():
+    # Commands return their files' texts; run writes them, then prints.
+    writes = {(module, where) for module, sites in write_sites().items()
+              for where in sites.writes}
+    assert writes == {("cli", "run")}
+
+
+def test_only_io_opens_files_for_writing():
+    opens = {module: sites.opens for module, sites in write_sites().items()
+             if sites.opens}
+    assert list(opens) == ["_io"]

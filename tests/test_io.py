@@ -1,10 +1,13 @@
-"""The one reader of input lines and the location of a data error."""
+"""The one reader of input lines, the location of a data error, and the
+one writer of output files."""
 
 import io
+import os
+import stat
 
 import pytest
 
-from radpriors._io import DataError, split_cr, utf8_lines
+from radpriors._io import DataError, atomic_write_text, split_cr, utf8_lines
 from radpriors.corpus import CorpusError
 from radpriors.metrics import EvaluationError
 from radpriors.rules import RuleFileError
@@ -69,3 +72,50 @@ class TestUtf8Lines:
         assert next(lines) == (1, 0, "ok\n")
         with pytest.raises(DataError):
             next(lines)
+
+
+@pytest.fixture
+def restore_umask():
+    """Restore the process umask after the test."""
+    saved = os.umask(0o022)
+    yield
+    os.umask(saved)
+
+
+class TestAtomicWriteText:
+    @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_mode_is_that_of_a_plain_open(self, tmp_path, restore_umask,
+                                          mask, mode):
+        os.umask(mask)
+        atomic_write_text(tmp_path / "atomic.txt", "x")
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
+            pass
+        # The umask is read, and left as it was.
+        assert os.umask(mask) == mask
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode)
+                 for path in tmp_path.iterdir()}
+        assert modes == {"atomic.txt": mode, "plain.txt": mode}
+
+    def test_unwritable_path_is_an_error_naming_it_as_given(self, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(FileNotFoundError) as err:
+                atomic_write_text("missing/l.jsonl", "x")
+            messages.add(str(err.value))
+        assert messages == {
+            "[Errno 2] No such file or directory: 'missing/l.jsonl'"}
+        assert err.value.filename == "missing/l.jsonl"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_directory_target_is_named_and_no_temp_file_is_left(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            atomic_write_text("d", "x")
+        assert str(err.value) == "[Errno 21] Is a directory: 'd'"
+        assert [path.name for path in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
