@@ -1,7 +1,8 @@
-"""Pieces every command loads: data errors, input lines, output files."""
+"""Pieces every command loads: text fields, data errors, lines, files."""
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -9,6 +10,8 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 _UTF8_BOM = b"\xef\xbb\xbf"
+# The corpus fields that hold report text; records also have an id and label.
+TEXT_FIELDS = ("text", "reference", "candidate")
 
 
 class DataError(ValueError):
@@ -59,6 +62,18 @@ def utf8_lines(raw_lines: Iterable[bytes], error: type[DataError]
 def indented_json(obj: object) -> str:
     """``obj`` as every indented JSON output file holds it."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def check_target(path: str | Path) -> None:
+    """Raise the error :func:`atomic_write_text` meets if ``path`` is a
+    directory or its parent is missing or not a directory."""
+    try:
+        # A trailing separator makes a parent that is a file an error.
+        os.stat(os.path.join(Path(path).parent, ""))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -3,10 +3,10 @@
 Exit codes: 0 on success, 1 for usage errors, 2 for data errors (the
 message names the offending record id or line). Each command returns
 its output files' texts, in write order, and its standard output;
-:func:`run` alone writes each file to a temporary file renamed into
-place, and then prints. So no file is left half-written, and nothing is
-printed unless every file is in place; but an OS error on a later file
-can leave the earlier ones.
+:func:`run` alone checks that no target is a directory or in a missing
+one, writes each file to a temporary file renamed into place, then
+prints. A failed run leaves no file half-written and prints nothing; only
+a write error after those checks (a full disk, a race) leaves files.
 
 Each command imports the modules it runs when it runs, so ``infuse-demo``
 loads no corpus code and ``label`` and ``eval`` load no numpy.
@@ -36,7 +36,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from ._io import DataError, atomic_write_text, indented_json
+from ._io import (TEXT_FIELDS, DataError, atomic_write_text, check_target,
+                  indented_json)
 
 if TYPE_CHECKING:
     from .analysis import StratifiedSummary
@@ -86,7 +87,7 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
     """
     from .analysis import ScoreRow, stratify
     from .labeler import label_corpus
-    from .metrics import evaluate_corpus
+    from .metrics import CIDER_SCALE, evaluate_corpus
     from .rules import default_rules
 
     if metric not in _METRIC_NAMES:
@@ -98,7 +99,7 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
     rows = [ScoreRow(score=row.to_dict()[metric], label=row.label,
                      length=row.candidate_length)
             for row in metrics.per_report]
-    value_range = (0.0, 10.0) if metric == "cider" else (0.0, 1.0)
+    value_range = (0.0, CIDER_SCALE if metric == "cider" else 1.0)
     summary = stratify(rows, bins=bins, value_range=value_range)
     return PipelineResult(metrics=metrics, counts=counts, labels=labels,
                           summary=summary)
@@ -295,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "label", help="label each report for comparison-prior expressions")
     add_io(label)
     label.add_argument("--rules", help="rules file overriding the bundled set")
-    label.add_argument("--label-on", choices=("text", "reference", "candidate"),
+    label.add_argument("--label-on", choices=TEXT_FIELDS,
                        default="text", help="which field to label")
     label.add_argument("--summary", help="also write the counts JSON here")
     label.set_defaults(func=_cmd_label)
@@ -368,6 +369,8 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         files, printed = args.func(args)
+        for path in files:
+            check_target(path)
         for path, text in files.items():
             atomic_write_text(path, text)
         print(printed)

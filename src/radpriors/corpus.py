@@ -15,11 +15,12 @@ import json
 import re
 import string
 import unicodedata
+from collections import deque
 from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
 
-from ._io import DataError, split_cr, utf8_lines
+from ._io import TEXT_FIELDS, DataError, split_cr, utf8_lines
 
 __all__ = [
     "CorpusError",
@@ -169,8 +170,10 @@ class CorpusRecord(NamedTuple):
     gold_label: int | None = None
 
 
-_OPTIONAL_FIELDS = ("reference", "candidate", "label")
-_READ_FIELDS = ("id", "text", *_OPTIONAL_FIELDS)
+# The corpus schema, in CorpusRecord's order.
+_STRING_FIELDS = ("id", *TEXT_FIELDS)
+_REQUIRED_FIELDS = _STRING_FIELDS[:2]
+_READ_FIELDS = (*_STRING_FIELDS, "label")
 # A JSON escape such as "\ud800" decodes to a lone surrogate, which no
 # output can encode as UTF-8.
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
@@ -183,36 +186,18 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[CorpusRecord]:
     id, with its line (and the byte offset, where known). JSONL lines end
     at ``\\n``; CSV lines also at ``\\r\\n`` and a lone ``\\r``.
     """
-    path = Path(path)
-    if format == "jsonl":
-        rows = _load_jsonl(path)
-    elif format == "csv":
-        rows = _load_csv(path)
-    else:
+    loaders = {"jsonl": _load_jsonl, "csv": _load_csv}
+    if format not in loaders:
         raise CorpusError(f"unknown corpus format {format!r}")
     records = []
     seen: dict[str, int] = {}
-    for record, where in rows:
+    for record, where in loaders[format](Path(path)):
         if record.id in seen:
             raise CorpusError(f"duplicate id {record.id!r}, first on line "
                               f"{seen[record.id]}", **where)
         seen[record.id] = where["line"]
         records.append(record)
     return records
-
-
-class _RepeatedKeys(dict):
-    """A JSON object that repeats a key: each key's last value, as a
-    dict, and every key in file order as ``names``."""
-
-    def __init__(self, pairs: list[tuple[str, object]]) -> None:
-        super().__init__(pairs)
-        self.names = [name for name, _ in pairs]
-
-
-def _object_from_pairs(pairs: list[tuple[str, object]]) -> dict:
-    obj = dict(pairs)
-    return obj if len(obj) == len(pairs) else _RepeatedKeys(pairs)
 
 
 def _refuse_repeated(names: list[str], kind: str, where: dict) -> None:
@@ -224,7 +209,11 @@ def _refuse_repeated(names: list[str], kind: str, where: dict) -> None:
 
 def _load_jsonl(path: Path) -> Iterator[tuple[CorpusRecord, dict]]:
     # One decoder per file: ``json.loads`` with a hook builds one per line.
-    decode = json.JSONDecoder(object_pairs_hook=_object_from_pairs).decode
+    # It ends an object after those nested in it, so the pairs it built
+    # last on a line are the top-level object's.
+    last: deque[list[tuple[str, object]]] = deque(maxlen=1)
+    decode = json.JSONDecoder(
+        object_pairs_hook=lambda p: last.append(p) or dict(p)).decode
     with open(path, "rb") as handle:
         # JSON Lines ends a line at "\n" only: a lone "\r" is whitespace.
         for line_no, line_offset, text_line in utf8_lines(handle, CorpusError):
@@ -238,8 +227,8 @@ def _load_jsonl(path: Path) -> Iterator[tuple[CorpusRecord, dict]]:
                                   **where) from exc
             if not isinstance(obj, dict):
                 raise CorpusError("record is not a JSON object", **where)
-            if isinstance(obj, _RepeatedKeys):
-                _refuse_repeated(obj.names, "key", where)
+            if len(obj) != len(last[0]):
+                _refuse_repeated([name for name, _ in last[0]], "key", where)
             yield _record_from_mapping(obj, where), where
 
 
@@ -250,7 +239,7 @@ def _load_csv(path: Path) -> Iterator[tuple[CorpusRecord, dict]]:
         header = next(reader, None)
         if header is None:
             return
-        missing = {"id", "text"} - set(header)
+        missing = set(_REQUIRED_FIELDS) - set(header)
         if missing:
             raise CorpusError("missing required column(s): "
                               + ", ".join(sorted(missing)), line=1)
@@ -268,41 +257,32 @@ def _load_csv(path: Path) -> Iterator[tuple[CorpusRecord, dict]]:
             if row:
                 # Empty: an absent optional field, but an empty text.
                 mapping = {k: v for k, v in zip(header, row)
-                           if k in ("id", "text")
-                           or k in _OPTIONAL_FIELDS and v != ""}
+                           if k in _REQUIRED_FIELDS
+                           or k in _READ_FIELDS and v != ""}
                 where = {"line": start}
                 yield _record_from_mapping(mapping, where), where
             start = reader.line_num + 1
 
 
 def _record_from_mapping(obj: dict, where: dict) -> CorpusRecord:
-    for name in ("id", "text"):
+    for name in _REQUIRED_FIELDS:
         if name not in obj:
             raise CorpusError(f"missing required field {name!r}", **where)
         if not isinstance(obj[name], str):
             raise CorpusError(f"field {name!r} must be a string", **where)
     label = obj.get("label")
-    if label is not None:
-        if isinstance(label, str) and label in ("0", "1"):
-            label = int(label)
-        if not isinstance(label, int) or isinstance(label, bool) \
-                or label not in (0, 1):
-            raise CorpusError(
-                f"field 'label' must be 0 or 1, got {obj.get('label')!r}",
-                **where)
-    for name in ("reference", "candidate"):
+    if label in ("0", "1"):
+        label = int(label)
+    elif label is not None and (type(label) is not int or label not in (0, 1)):
+        raise CorpusError(f"field 'label' must be 0 or 1, got {label!r}",
+                          **where)
+    for name in _STRING_FIELDS:
         value = obj.get(name)
         if value is not None and not isinstance(value, str):
             raise CorpusError(f"field {name!r} must be a string", **where)
-    for name in ("id", "text", "reference", "candidate"):
+    for name in _STRING_FIELDS:
         value = obj.get(name)
         if value and not value.isascii() and _SURROGATE.search(value):
             raise CorpusError(f"field {name!r} holds a lone surrogate",
                               **where)
-    return CorpusRecord(
-        id=obj["id"],
-        text=obj["text"],
-        reference=obj.get("reference"),
-        candidate=obj.get("candidate"),
-        gold_label=label,
-    )
+    return CorpusRecord(*map(obj.get, _STRING_FIELDS), label)

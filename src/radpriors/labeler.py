@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
+from ._io import TEXT_FIELDS
 from .corpus import (CorpusError, CorpusRecord, Report, extract_findings,
                      split_sentences, tokenize)
 # Re-exported: bench/test_bench.py instruments labeler.make_report.
@@ -181,7 +182,7 @@ def label_corpus(records: list[CorpusRecord], rules: RuleSet,
     distinct sentence is screened, tokenized and classified once per
     call: its evidence is looked up by the sentence's text.
     """
-    if text_source not in ("text", "reference", "candidate"):
+    if text_source not in TEXT_FIELDS:
         raise ValueError(f"unknown text source {text_source!r}")
     # Sentence text -> the evidence of a one-sentence report of it.
     evidence_of: dict[str, tuple[ClassifiedMention, ...]] = {}

@@ -305,15 +305,25 @@ class TestExitCodes:
 
     def test_an_unwritable_later_file_exits_2_and_prints_nothing(
             self, tmp_path, monkeypatch, capsys):
-        # Whether the earlier e.json remains is not promised either way.
+        # Every target is checked before the first write, so the earlier
+        # e.json is not left behind.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d").mkdir()
         assert run(["eval", "--in", str(FIXTURES / "eval3.jsonl"),
                     "--out", "e.json", "--csv", "d"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: [Errno ") and err.endswith(": 'd'\n")
-        assert not list(tmp_path.rglob("*.tmp"))
+        assert capsys.readouterr() == (
+            "", "error: [Errno 21] Is a directory: 'd'\n")
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["d"]
+
+    def test_a_missing_summary_directory_leaves_no_labels(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["label", "--in", str(FIXTURES / "golden4.jsonl"),
+                    "--out", "l.jsonl", "--summary", "missing/s.json"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: [Errno 2] No such file or directory: "
+                "'missing/s.json'\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 _LABEL_EVAL_ANALYZE = """

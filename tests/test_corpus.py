@@ -5,6 +5,7 @@ import json
 import re
 import string
 import sys
+import unicodedata
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -161,6 +162,18 @@ class TestTokenize:
         assert tokenize("\u201cill-defined\u201d caf\u00e9\u2019s") == \
             ["ill-defined", "caf\u00e9\u2019s"]
 
+    def test_unicode_punctuation_follows_the_interpreters_unicode(self):
+        # U+11B00 is unassigned in Unicode 14.0 (Python 3.11) and
+        # punctuation from Unicode 15.0 (Python 3.12) on, so the label
+        # of the same text depends on the Python it runs under.
+        from radpriors.labeler import label_report
+        from radpriors.rules import default_rules
+
+        text = "FINDINGS: Stable compared to prior\U00011B00 exam."
+        label = label_report(make_report("r1", text), default_rules())
+        punctuation = unicodedata.category("\U00011B00").startswith("P")
+        assert label.value == (1 if punctuation else 0)
+
     @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=60))
     def test_ascii_text_tokenizes_by_ascii_punctuation_alone(self, text):
         want = [t for t in (c.strip(string.punctuation)
@@ -306,11 +319,33 @@ class TestLoadCorpus:
             load_corpus(path)
         assert err.value.byte_offset == len(good) + 1
 
-    def test_jsonl_repeated_unread_key_loads(self, tmp_path):
-        path = self._write(tmp_path, [
-            '{"id": "r1", "note": 1, "text": "Clear.", "note": 2, '
-            '"meta": {"text": "a", "text": "b"}}'])
+    @pytest.mark.parametrize("line", [
+        '{"id": "r1", "note": 1, "text": "Clear.", "note": 2, '
+        '"meta": {"text": "a", "text": "b"}}',
+        # The nested object is the last one the line's decoding finishes
+        # before the top-level one.
+        '{"meta": {"id": "a", "id": "b"}, "id": "r1", "text": "Clear.", '
+        '"note": [{"text": "a", "text": "b"}]}',
+    ])
+    def test_jsonl_repeated_unread_key_loads(self, tmp_path, line):
+        path = self._write(tmp_path, [line])
         assert load_corpus(path) == [CorpusRecord(id="r1", text="Clear.")]
+
+    def test_jsonl_array_holding_a_repeated_key_is_not_an_object(self,
+                                                                 tmp_path):
+        path = self._write(tmp_path, ['[{"id": "r1", "id": "r2", '
+                                      '"text": "Clear."}]'])
+        with pytest.raises(CorpusError,
+                           match="line 1: record is not a JSON object"):
+            load_corpus(path)
+
+    def test_jsonl_repeated_key_check_reads_each_line_afresh(self, tmp_path):
+        # Line 1 builds an object that repeats "id"; line 2's record is
+        # checked against its own keys alone.
+        path = self._write(tmp_path, [
+            '{"id": "r0", "text": "Clear.", "meta": [{"id": 1, "id": 2}]}',
+            '{"id": "r1", "text": "Clear."}'])
+        assert [record.id for record in load_corpus(path)] == ["r0", "r1"]
 
     def test_csv_row_longer_than_header_is_refused(self, tmp_path):
         path = tmp_path / "corpus.csv"

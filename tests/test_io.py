@@ -7,7 +7,8 @@ import stat
 
 import pytest
 
-from radpriors._io import DataError, atomic_write_text, split_cr, utf8_lines
+from radpriors._io import (DataError, atomic_write_text, check_target,
+                           split_cr, utf8_lines)
 from radpriors.corpus import CorpusError
 from radpriors.metrics import EvaluationError
 from radpriors.rules import RuleFileError
@@ -119,3 +120,29 @@ class TestAtomicWriteText:
         assert str(err.value) == "[Errno 21] Is a directory: 'd'"
         assert [path.name for path in tmp_path.iterdir()] == ["d"]
         assert list((tmp_path / "d").iterdir()) == []
+
+
+class TestCheckTarget:
+    @pytest.mark.parametrize("path", [
+        "d", "missing/x.json", "f/x.json", "f/x/y.json", "d/../f/x.json"])
+    def test_refuses_as_the_write_would(self, tmp_path, monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text("", encoding="utf-8")
+        with pytest.raises(OSError) as checked:
+            check_target(path)
+        with pytest.raises(OSError) as written:
+            atomic_write_text(path, "x")
+        assert (type(checked.value), str(checked.value)) == \
+            (type(written.value), str(written.value))
+        assert checked.value.filename == path
+
+    @pytest.mark.parametrize("path", ["new.json", "f", "d/new.json"])
+    def test_passes_a_writable_target_and_writes_nothing(
+            self, tmp_path, monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text("", encoding="utf-8")
+        check_target(path)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", "f"]
+        assert (tmp_path / "f").read_text(encoding="utf-8") == ""
