@@ -99,7 +99,7 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
     rows = [ScoreRow(score=row.to_dict()[metric], label=row.label,
                      length=row.candidate_length)
             for row in metrics.per_report]
-    value_range = (0.0, CIDER_SCALE if metric == "cider" else 1.0)
+    value_range = (0.0, CIDER_SCALE if metric.startswith("cider") else 1.0)
     summary = stratify(rows, bins=bins, value_range=value_range)
     return PipelineResult(metrics=metrics, counts=counts, labels=labels,
                           summary=summary)
