@@ -1,4 +1,11 @@
-"""Pieces every command loads: text fields, data errors, lines, files."""
+"""Pieces every command loads: name tables, data errors, lines, files.
+
+Three tables name what the other modules share: ``TEXT_FIELDS``, the
+corpus fields that hold report text; ``CORPUS_FORMATS``, the corpus file
+formats; and ``METRIC_NAMES``, the metrics as every output names them.
+They live here because every command builds the whole parser, and no
+command may load a module it does not run.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +19,8 @@ from pathlib import Path
 _UTF8_BOM = b"\xef\xbb\xbf"
 # The corpus fields that hold report text; records also have an id and label.
 TEXT_FIELDS = ("text", "reference", "candidate")
+CORPUS_FORMATS = ("jsonl", "csv")
+METRIC_NAMES = ("bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "cider")
 
 
 class DataError(ValueError):
@@ -65,12 +74,14 @@ def indented_json(obj: object) -> str:
 
 
 def check_target(path: str | Path) -> None:
-    """Raise the error :func:`atomic_write_text` meets if ``path`` is a
-    directory or its parent is missing or not a directory."""
+    """Raise the error ``open(path, "w")`` meets if ``path`` is a
+    directory or ends in a separator, or its parent is missing or not a
+    directory. :func:`atomic_write_text` meets the same errors, but
+    refuses a trailing separator as not a directory."""
     try:
         # A trailing separator makes a parent that is a file an error.
         os.stat(os.path.join(Path(path).parent, ""))
-        if os.path.isdir(path):
+        if os.fspath(path).endswith(os.sep) or os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
@@ -80,8 +91,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` via a sibling temp file and rename.
 
     A failed write leaves neither part of a file at ``path`` nor the
-    temp file, and its ``OSError`` names ``path`` as given. The file's
-    mode is a plain ``open``'s: 0o666 less the umask.
+    temp file, and its ``OSError`` names ``path`` as given. The rename
+    replaces ``path`` itself, so a symbolic link there becomes a regular
+    file and its target is left unchanged; a ``path`` that ends in a
+    separator is refused. The file's mode is a plain ``open``'s: 0o666
+    less the umask.
     """
     target = Path(path)
     umask = os.umask(0)
@@ -94,7 +108,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
             with handle:
                 handle.write(text)
             os.chmod(handle.name, 0o666 & ~umask)
-            os.replace(handle.name, target)
+            os.replace(handle.name, path)
         except BaseException:
             os.unlink(handle.name)
             raise

@@ -36,8 +36,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from ._io import (TEXT_FIELDS, DataError, atomic_write_text, check_target,
-                  indented_json)
+from ._io import (CORPUS_FORMATS, METRIC_NAMES, TEXT_FIELDS, DataError,
+                  atomic_write_text, check_target, indented_json)
 
 if TYPE_CHECKING:
     from .analysis import StratifiedSummary
@@ -53,8 +53,6 @@ __all__ = ["main", "run", "pipeline_label_then_eval", "PipelineResult"]
 _FILE_OPTIONS = (("--in", "infile"), ("--out", "out"),
                  ("--summary", "summary"), ("--csv", "csv"),
                  ("--plot-data", "plot_data"))
-
-_METRIC_NAMES = ("bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "cider")
 
 
 def _with_labels(metrics: MetricReport,
@@ -87,16 +85,16 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
     """
     from .analysis import ScoreRow, stratify
     from .labeler import label_corpus
-    from .metrics import CIDER_SCALE, evaluate_corpus
+    from .metrics import CIDER_SCALE, _metric_values, evaluate_corpus
     from .rules import default_rules
 
-    if metric not in _METRIC_NAMES:
+    if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}")
     rules = rules or default_rules()
     labels, counts = label_corpus(records, rules, text_source="candidate")
     metrics = _with_labels(evaluate_corpus(records),
                            (label.value for label in labels))
-    rows = [ScoreRow(score=row.to_dict()[metric], label=row.label,
+    rows = [ScoreRow(score=_metric_values(row)[metric], label=row.label,
                      length=row.candidate_length)
             for row in metrics.per_report]
     value_range = (0.0, CIDER_SCALE if metric.startswith("cider") else 1.0)
@@ -148,14 +146,13 @@ def _cmd_label(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _per_report_csv(metrics: MetricReport) -> str:
+    from .metrics import _metric_values
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["id", *_METRIC_NAMES, "label"])
+    writer.writerow(["id", *METRIC_NAMES, "label"])
     for row in metrics.per_report:
-        values = row.to_dict()
-        writer.writerow([row.id,
-                         *(repr(values[name]) for name in _METRIC_NAMES),
-                         values.get("label", "")])
+        writer.writerow([row.id, *map(repr, _metric_values(row).values()),
+                         row.label])
     return buffer.getvalue()
 
 
@@ -289,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--in", dest="infile", required=True,
                          help="input corpus file")
         sub.add_argument("--out", required=True, help="output file")
-        sub.add_argument("--format", choices=("jsonl", "csv"),
+        sub.add_argument("--format", choices=CORPUS_FORMATS,
                          default="jsonl", help="corpus file format")
 
     label = commands.add_parser(
@@ -313,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze", help="label candidates, score them, stratify by label")
     add_io(analyze)
     analyze.add_argument("--rules", help="rules file overriding the bundled set")
-    analyze.add_argument("--metric", choices=_METRIC_NAMES, default="bleu4",
+    analyze.add_argument("--metric", choices=METRIC_NAMES, default="bleu4",
                          help="metric to stratify")
     analyze.add_argument("--bins", type=_int_at_least(1, "a positive integer"),
                          default=20, help="histogram bin count")

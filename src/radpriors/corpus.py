@@ -20,7 +20,7 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
 
-from ._io import TEXT_FIELDS, DataError, split_cr, utf8_lines
+from ._io import CORPUS_FORMATS, TEXT_FIELDS, DataError, split_cr, utf8_lines
 
 __all__ = [
     "CorpusError",
@@ -184,14 +184,14 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[CorpusRecord]:
 
     Raises :class:`CorpusError` at the first malformed row or duplicate
     id, with its line (and the byte offset, where known). JSONL lines end
-    at ``\\n``; CSV lines also at ``\\r\\n`` and a lone ``\\r``.
+    at ``\\n``; CSV lines also at ``\\r\\n`` and a lone ``\\r``. ``path``
+    is opened as given, so one that ends in a separator names no file.
     """
-    loaders = {"jsonl": _load_jsonl, "csv": _load_csv}
-    if format not in loaders:
+    if format not in _LOADERS:
         raise CorpusError(f"unknown corpus format {format!r}")
     records = []
     seen: dict[str, int] = {}
-    for record, where in loaders[format](Path(path)):
+    for record, where in _LOADERS[format](path):
         if record.id in seen:
             raise CorpusError(f"duplicate id {record.id!r}, first on line "
                               f"{seen[record.id]}", **where)
@@ -207,7 +207,7 @@ def _refuse_repeated(names: list[str], kind: str, where: dict) -> None:
             raise CorpusError(f"{kind} {name!r} is repeated", **where)
 
 
-def _load_jsonl(path: Path) -> Iterator[tuple[CorpusRecord, dict]]:
+def _load_jsonl(path: str | Path) -> Iterator[tuple[CorpusRecord, dict]]:
     # One decoder per file: ``json.loads`` with a hook builds one per line.
     # It ends an object after those nested in it, so the pairs it built
     # last on a line are the top-level object's.
@@ -232,7 +232,7 @@ def _load_jsonl(path: Path) -> Iterator[tuple[CorpusRecord, dict]]:
             yield _record_from_mapping(obj, where), where
 
 
-def _load_csv(path: Path) -> Iterator[tuple[CorpusRecord, dict]]:
+def _load_csv(path: str | Path) -> Iterator[tuple[CorpusRecord, dict]]:
     with open(path, "rb") as handle:
         reader = csv.reader(text_line for _, _, text_line
                             in utf8_lines(split_cr(handle), CorpusError))
@@ -262,6 +262,9 @@ def _load_csv(path: Path) -> Iterator[tuple[CorpusRecord, dict]]:
                 where = {"line": start}
                 yield _record_from_mapping(mapping, where), where
             start = reader.line_num + 1
+
+
+_LOADERS = dict(zip(CORPUS_FORMATS, (_load_jsonl, _load_csv), strict=True))
 
 
 def _record_from_mapping(obj: dict, where: dict) -> CorpusRecord:

@@ -28,7 +28,7 @@ from itertools import chain, count, repeat
 from operator import add, mul
 from typing import NamedTuple
 
-from ._io import DataError
+from ._io import METRIC_NAMES, DataError
 from .corpus import CorpusRecord, tokenize
 
 __all__ = [
@@ -278,9 +278,8 @@ def cider(candidates: list[list[str]],
 
 def _metric_values(scores: ReportScores | CorpusScores) -> dict[str, float]:
     """The six metrics of a score record, by the names they are written as."""
-    bleu1, bleu2, bleu3, bleu4 = scores.bleu
-    return {"bleu1": bleu1, "bleu2": bleu2, "bleu3": bleu3, "bleu4": bleu4,
-            "rouge_l": scores.rouge_l, "cider": scores.cider}
+    return dict(zip(METRIC_NAMES, (*scores.bleu, scores.rouge_l, scores.cider),
+                    strict=True))
 
 
 class ReportScores(NamedTuple):

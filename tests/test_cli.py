@@ -326,6 +326,48 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOutputPaths:
+    """An output or input path means what it means to ``open``."""
+
+    @pytest.mark.parametrize("out", ["results/", "f/"])
+    def test_an_out_path_ending_in_a_separator_is_refused_as_open_does(
+            self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").write_text("kept", encoding="utf-8")
+        with pytest.raises(IsADirectoryError) as opened:
+            open(out, "w", encoding="utf-8")
+        assert run(["label", "--in", str(FIXTURES / "golden4.jsonl"),
+                    "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: {opened.value}\n")
+        assert str(opened.value) == f"[Errno 21] Is a directory: '{out}'"
+        assert [path.name for path in tmp_path.iterdir()] == ["f"]
+        assert (tmp_path / "f").read_text(encoding="utf-8") == "kept"
+
+    def test_an_in_path_ending_in_a_separator_is_refused_as_open_does(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "y.jsonl").write_bytes(
+            (FIXTURES / "golden4.jsonl").read_bytes())
+        assert run(["label", "--in", "y.jsonl/", "--out", "l.jsonl"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: [Errno 20] Not a directory: 'y.jsonl/'\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["y.jsonl"]
+
+    def test_an_out_link_is_replaced_by_a_file_and_its_target_kept(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tgt").write_text("kept", encoding="utf-8")
+        (tmp_path / "lnk").symlink_to("tgt")
+        for out in ("lnk", "plain.jsonl"):
+            assert run(["label", "--in", str(FIXTURES / "golden4.jsonl"),
+                        "--out", out]) == 0
+        capsys.readouterr()
+        assert not (tmp_path / "lnk").is_symlink()
+        assert (tmp_path / "lnk").read_bytes() == \
+            (tmp_path / "plain.jsonl").read_bytes()
+        assert (tmp_path / "tgt").read_text(encoding="utf-8") == "kept"
+
+
 _LABEL_EVAL_ANALYZE = """
 import sys
 from radpriors.cli import run

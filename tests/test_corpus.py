@@ -214,6 +214,12 @@ class TestLoadCorpus:
     def test_empty_file(self, tmp_path):
         assert load_corpus(self._write(tmp_path, [])) == []
 
+    def test_unknown_format_is_refused(self, tmp_path):
+        path = self._write(tmp_path, [json.dumps({"id": "a", "text": "ok"})])
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path, format="xml")
+        assert str(err.value) == "unknown corpus format 'xml'"
+
     def test_missing_id_names_line_1(self, tmp_path):
         path = self._write(tmp_path, [json.dumps({"text": "No id."})])
         with pytest.raises(CorpusError) as err:

@@ -121,6 +121,17 @@ class TestAtomicWriteText:
         assert [path.name for path in tmp_path.iterdir()] == ["d"]
         assert list((tmp_path / "d").iterdir()) == []
 
+    @pytest.mark.parametrize("path", ["new/", "f/"])
+    def test_a_trailing_separator_is_refused_and_nothing_written(
+            self, tmp_path, monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").write_text("kept", encoding="utf-8")
+        with pytest.raises(NotADirectoryError) as err:
+            atomic_write_text(path, "x")
+        assert err.value.filename == path
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+        assert (tmp_path / "f").read_text(encoding="utf-8") == "kept"
+
 
 class TestCheckTarget:
     @pytest.mark.parametrize("path", [
@@ -136,6 +147,21 @@ class TestCheckTarget:
         assert (type(checked.value), str(checked.value)) == \
             (type(written.value), str(written.value))
         assert checked.value.filename == path
+
+    @pytest.mark.parametrize("path", [
+        "new/", "f/", "d/", "missing/x/", "f/x/"])
+    def test_refuses_a_trailing_separator_as_open_does(
+            self, tmp_path, monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text("", encoding="utf-8")
+        with pytest.raises(OSError) as checked:
+            check_target(path)
+        with pytest.raises(OSError) as opened:
+            open(path, "w", encoding="utf-8")
+        assert (type(checked.value), str(checked.value)) == \
+            (type(opened.value), str(opened.value))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "f"]
 
     @pytest.mark.parametrize("path", ["new.json", "f", "d/new.json"])
     def test_passes_a_writable_target_and_writes_nothing(
