@@ -74,17 +74,20 @@ def indented_json(obj: object) -> str:
 
 
 def check_target(path: str | Path) -> None:
-    """Raise the error ``open(path, "w")`` meets if ``path`` is a
-    directory or ends in a separator, or its parent is missing or not a
+    """Raise the error ``open(path, "w")`` meets if ``path`` is empty, is
+    a directory or ends in a separator, or its parent is missing or not a
     directory. :func:`atomic_write_text` meets the same errors, but
     refuses a trailing separator as not a directory."""
+    name = os.fspath(path)
     try:
+        # The parent as ``open`` finds it: "d/." is in "d", and "" has none.
         # A trailing separator makes a parent that is a file an error.
-        os.stat(os.path.join(Path(path).parent, ""))
-        if os.fspath(path).endswith(os.sep) or os.path.isdir(path):
+        parent = os.path.dirname(name.rstrip(os.sep)) or os.curdir
+        os.stat(os.path.join(parent, "") if name else name)
+        if name.endswith(os.sep) or os.path.isdir(name):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+        raise OSError(exc.errno, exc.strerror, name) from exc
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -48,11 +48,12 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "run", "pipeline_label_then_eval", "PipelineResult"]
 
-# Options that name a file, with their argparse destinations.  No two of
-# one invocation may resolve to the same file.
-_FILE_OPTIONS = (("--in", "infile"), ("--out", "out"),
+# Options that name a file, with their argparse destinations.  None may be
+# empty, and no two of one invocation may resolve to the same file.
+_FILE_OPTIONS = (("--in", "infile"), ("--out", "out"), ("--rules", "rules"),
                  ("--summary", "summary"), ("--csv", "csv"),
-                 ("--plot-data", "plot_data"))
+                 ("--plot-data", "plot_data"),
+                 ("--emit-latents", "emit_latents"))
 
 
 def _with_labels(metrics: MetricReport,
@@ -332,21 +333,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _file_clash(args: argparse.Namespace) -> str | None:
-    """Name two file options of ``args`` that resolve to one file, if any.
-
-    Writing both would keep only the last write, or replace the input.
-    """
-    files = [(option, getattr(args, dest, None))
-             for option, dest in _FILE_OPTIONS]
+def _file_error(args: argparse.Namespace) -> str | None:
+    """The usage error of ``args``' file options, if any: an empty path,
+    which names no file, or two paths of one file, where writing both
+    would keep only the last write or replace an input."""
+    files = [(option, getattr(args, dest)) for option, dest in _FILE_OPTIONS
+             if getattr(args, dest, None) is not None]
     if getattr(args, "plot_data", None):
         from .analysis import plot_stats_path
         files.append(("the stats JSON of --plot-data",
                       plot_stats_path(args.plot_data)))
     seen: dict[Path, str] = {}
     for option, path in files:
-        if not path:
-            continue
+        if path == "":
+            return f"argument {option}: must name a file, got ''"
         resolved = Path(path).resolve()
         if resolved in seen:
             return f"{seen[resolved]} and {option} name the same file: {path}"
@@ -359,9 +359,9 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        clash = _file_clash(args)
-        if clash:
-            parser.error(clash)
+        error = _file_error(args)
+        if error:
+            parser.error(error)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

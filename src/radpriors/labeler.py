@@ -13,16 +13,14 @@ section split into sentences and tokens):
 Classification is local to a sentence and independent across mentions,
 so reports can be labeled with any order-preserving parallel map, and a
 sentence's evidence does not depend on the report it sits in.
-:func:`label_corpus` therefore labels each distinct sentence once per
-call, and screens what cannot hold a mention (:meth:`RuleSet.may_mention`):
-a findings section whose lowercase holds no keyword surface is not split,
-nor such a sentence tokenized. It keeps a dict from sentence text to the
-evidence that :func:`label_report` finds in a one-sentence report of it.
-The dict lives for one call and holds one entry per distinct sentence of
-the keyword-bearing sections; each occurrence copies the evidence with
-its own sentence index. A mention is tried only against the templates
-whose literals its sentence holds (:meth:`RuleSet.templates_for`), in
-file order, so the same rule fires.
+:class:`Labeler`, the engine, therefore labels each distinct sentence
+once and keeps its evidence by sentence text; each occurrence copies the
+evidence with its own sentence index. It screens each findings section
+once (:meth:`Labeler.screen`): a section that holds no keyword surface
+is not split, and a sentence is tokenized only if it holds one of its
+section's surfaces. A mention is tried only against the templates whose
+literals its sentence holds (:meth:`RuleSet.templates_for`), in file
+order, so the same rule fires.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ __all__ = [
     "aggregate",
     "label_report",
     "label_corpus",
+    "Labeler",
 ]
 
 
@@ -172,46 +171,62 @@ def label_report(report: Report, rules: RuleSet) -> PriorLabel:
     return aggregate(classified)
 
 
+class Labeler:
+    """The labeling engine: a rule set, its screen and its sentence cache."""
+
+    def __init__(self, rules: RuleSet) -> None:
+        self.rules = rules
+        surfaces = dict.fromkeys(entry.surface for entry in rules.keywords)
+        self._screen = tuple(surface for surface in surfaces if not any(
+            other in surface and other != surface for other in surfaces))
+        # Sentence text -> the evidence of a one-sentence report of it.
+        self._evidence_of: dict[str, tuple[ClassifiedMention, ...]] = {}
+
+    def screen(self, text: str) -> tuple[str, ...]:
+        """The screen's keyword surfaces that ``text``'s lowercase holds.
+
+        A mention's token starts with its keyword's surface and is a
+        substring of its sentence's lowercase, and so of its section's:
+        sentences end before whitespace, so even a final sigma lowercases
+        alike. A surface that holds another is left out, as redundant.
+        """
+        return tuple(filter(text.lower().__contains__, self._screen))
+
+    def label(self, record_id: str, text: str) -> PriorLabel:
+        """The label ``label_report(make_report(record_id, text), rules)``."""
+        findings = extract_findings(text)
+        surfaces = self.screen(findings)
+        evidence: list[ClassifiedMention] = []
+        for index, sentence in enumerate(
+                split_sentences(findings) if surfaces else ()):
+            found = self._evidence_of.get(sentence)
+            if found is None:
+                found = ()
+                if any(map(sentence.lower().__contains__, surfaces)):
+                    report = Report(record_id, [sentence],
+                                    [tokenize(sentence)])
+                    found = label_report(report, self.rules).evidence
+                self._evidence_of[sentence] = found
+            if found:
+                evidence += found if index == 0 else [
+                    item._replace(mention=item.mention._replace(
+                        sentence_index=index)) for item in found]
+        return PriorLabel(1, tuple(evidence)) if evidence else _NO_MENTIONS
+
+
 def label_corpus(records: list[CorpusRecord], rules: RuleSet,
                  text_source: str = "text") -> tuple[list[PriorLabel], LabelCounts]:
-    """Label every record, returning per-record labels plus counts.
-
-    ``text_source`` picks which field is labeled: the record text
-    (default), the reference or the candidate.  Each label equals
-    ``label_report(make_report(record.id, value), rules)``, but each
-    distinct sentence is screened, tokenized and classified once per
-    call: its evidence is looked up by the sentence's text.
-    """
+    """Label each record's ``text_source`` field (its text, reference or
+    candidate) by one fresh :class:`Labeler`; return the labels and counts."""
     if text_source not in TEXT_FIELDS:
         raise ValueError(f"unknown text source {text_source!r}")
-    # Sentence text -> the evidence of a one-sentence report of it.
-    evidence_of: dict[str, tuple[ClassifiedMention, ...]] = {}
+    engine = Labeler(rules)
     labels = []
     for record in records:
         value = getattr(record, text_source)
         if value is None:
             raise CorpusError(
                 f"record {record.id!r} has no {text_source} field")
-        findings = extract_findings(value)
-        sentences = split_sentences(findings) \
-            if rules.may_mention(findings) else []
-        evidence: list[ClassifiedMention] = []
-        for index, sentence in enumerate(sentences):
-            found = evidence_of.get(sentence)
-            if found is None:
-                found = ()
-                if rules.may_mention(sentence):
-                    report = Report(record.id, [sentence],
-                                    [tokenize(sentence)])
-                    found = label_report(report, rules).evidence
-                evidence_of[sentence] = found
-            if found:
-                evidence += found if index == 0 else [
-                    item._replace(mention=item.mention._replace(
-                        sentence_index=index)) for item in found]
-        labels.append(PriorLabel(1, tuple(evidence)) if evidence
-                      else _NO_MENTIONS)
+        labels.append(engine.label(record.id, value))
     positive = sum(label.value for label in labels)
-    counts = LabelCounts(negative=len(labels) - positive,
-                         positive=positive, total=len(labels))
-    return labels, counts
+    return labels, LabelCounts(len(labels) - positive, positive, len(labels))

@@ -211,7 +211,6 @@ class RuleSet:
         # length keep file order.
         self._by_precedence = sorted(self.keywords,
                                      key=lambda entry: -len(entry.surface))
-        self._surfaces = tuple(entry.surface for entry in self.keywords)
         self._keyword_memo: dict[str, KeywordEntry | None] = {}
         # The literal index: one bit per distinct literal atom of the
         # templates, each token's bits, and the bits each template needs,
@@ -251,18 +250,6 @@ class RuleSet:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self._FIELDS)
         return f"RuleSet({fields})"
-
-    def may_mention(self, text: str) -> bool:
-        """False when no token of ``text``, a sentence or a section, can be
-        a mention.
-
-        A mention's token equals or starts with its keyword's surface, and
-        every token is a substring of its sentence's lowercase. That is a
-        substring of the section's lowercase: sentences end before
-        whitespace, so even a final sigma lowercases alike in both. A text
-        whose lowercase holds no surface therefore has no mention.
-        """
-        return any(map(text.lower().__contains__, self._surfaces))
 
     def templates_for(self, tokens: list[str]) -> tuple[
             tuple[RuleTemplate, ...], tuple[RuleTemplate, ...]]:

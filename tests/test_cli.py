@@ -353,6 +353,32 @@ class TestOutputPaths:
             "", "error: [Errno 20] Not a directory: 'y.jsonl/'\n")
         assert [path.name for path in tmp_path.iterdir()] == ["y.jsonl"]
 
+    def test_a_csv_path_ending_in_dot_in_a_missing_directory_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["eval", "--in", str(FIXTURES / "eval3.jsonl"),
+                    "--out", "e.json", "--csv", "results/."]) == 2
+        assert capsys.readouterr() == (
+            "", "error: [Errno 2] No such file or directory: 'results/.'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, option", [
+        ("label", "--in"), ("label", "--out"), ("label", "--rules"),
+        ("label", "--summary"), ("eval", "--csv"), ("analyze", "--csv"),
+        ("analyze", "--plot-data"), ("infuse-demo", "--emit-latents")])
+    def test_an_empty_file_path_is_a_usage_error(
+            self, tmp_path, monkeypatch, capsys, command, option):
+        monkeypatch.chdir(tmp_path)
+        argv = [command] if command == "infuse-demo" else [
+            command, "--in", str(FIXTURES / "eval3.jsonl"), "--out", "o"]
+        argv += [option, ""]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(
+            f" error: argument {option}: must name a file, got ''\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_an_out_link_is_replaced_by_a_file_and_its_target_kept(
             self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

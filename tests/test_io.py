@@ -148,10 +148,12 @@ class TestCheckTarget:
             (type(written.value), str(written.value))
         assert checked.value.filename == path
 
+    # pathlib drops a trailing separator and a last "." part, so its
+    # parent is not open's.
     @pytest.mark.parametrize("path", [
-        "new/", "f/", "d/", "missing/x/", "f/x/"])
-    def test_refuses_a_trailing_separator_as_open_does(
-            self, tmp_path, monkeypatch, path):
+        "new/", "f/", "d/", "missing/x/", "f/x/",
+        "missing/.", "missing/..", "f/.", "d/.", "d/..", ""])
+    def test_refuses_a_path_as_open_does(self, tmp_path, monkeypatch, path):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d").mkdir()
         (tmp_path / "f").write_text("", encoding="utf-8")
@@ -161,6 +163,7 @@ class TestCheckTarget:
             open(path, "w", encoding="utf-8")
         assert (type(checked.value), str(checked.value)) == \
             (type(opened.value), str(opened.value))
+        assert checked.value.filename == path
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "f"]
 
     @pytest.mark.parametrize("path", ["new.json", "f", "d/new.json"])

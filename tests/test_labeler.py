@@ -11,9 +11,10 @@ from oracles import (reference_extract_mentions, reference_label_corpus,
                      reference_label_report, reference_make_report)
 from radpriors.corpus import (CorpusError, CorpusRecord, Report, load_corpus,
                               make_report, split_sentences, tokenize)
-from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
-                               Verdict, aggregate, classify_mentions,
-                               extract_mentions, label_corpus, label_report)
+from radpriors.labeler import (ClassifiedMention, Labeler, Mention,
+                               PriorLabel, Verdict, aggregate,
+                               classify_mentions, extract_mentions,
+                               label_corpus, label_report)
 from radpriors.rules import (KeywordEntry, RuleSet, default_rules,
                              load_rules, parse_template)
 
@@ -332,15 +333,26 @@ STRADDLING_RULES = RuleSet(
     keywords=[KeywordEntry("clear. prior")], negation_patterns=[],
     prior_patterns=[parse_template("prior-any", "{m}")],
     change_verbs=frozenset())
+# Nested surfaces: "previous" is in "previously", and the stem "unchang"
+# prefixes the exact "unchanged", so the screen keeps only the shorter.
+NESTED_RULES = RuleSet(
+    keywords=[KeywordEntry("previously"), KeywordEntry("unchanged"),
+              KeywordEntry("unchang", stem=True), KeywordEntry("previous")],
+    negation_patterns=[parse_template("neg-no", "no ..1 {m}")],
+    prior_patterns=[parse_template("prior-exam", "{m} ..1 exam|film"),
+                    parse_template("prior-seen", "{m} seen"),
+                    parse_template("marker-since", "{m} since")],
+    change_verbs=frozenset({"unchang"}))
 RULE_SETS = {"default": default_rules(), "custom": CUSTOM_RULES,
-             "straddling": STRADDLING_RULES}
+             "straddling": STRADDLING_RULES, "nested": NESTED_RULES}
 
 TEXT_PIECES = [
     "prior", "Prior", "PRIOR", "nonprior", "again", "Increased", "unchanged",
     "interval", "compared", "to", "no", "exam", "film", "since", "from", "in",
     "the", "seen", "noted", "not", "available", "recommended", "comparison",
     "with", "study", "change", "without", "absence", "of", "similar",
-    "previously", "worsening", "früher", "FRÜHER",
+    "previously", "PREVIOUS", "unchang", "Unchanging", "worsening", "früher",
+    "FRÜHER",
     "ΑΣ", "ας", "Σ", "ς", "İ", "İ\u0307", "\u212aV", "kv", "clear", "findings:",
     "FINDINGS:", "impression:", "IMPRESSION:", "vs.", "Dr.", "B.", ".", "!",
     "?", "?!.", ",", "\u201c", "\u201d", " ", "  ", "\n", "\t", "\xa0", "\x85",
@@ -369,6 +381,10 @@ class TestLabelCorpusEqualsReference:
     @example("custom", ["ΑΣ. exam", "ΑΣ exam.", "Stable ΑΣ.\x85film"])
     @example("custom", ["İNDEX film. FRÜHER exam!"])
     @example("straddling", ["FINDINGS: Lungs clear. Prior film."])
+    @example("nested", ["FINDINGS: Previously seen. Unchanged since "
+                        "previous film. No previous exam. Unchanging."])
+    @example("nested", ["FINDINGS: Previous film. IMPRESSION: none.",
+                        "Unchanging since XXXX."])
     def test_labels_equal_the_full_chain(self, rules_name, texts):
         rules = RULE_SETS[rules_name]
         records = records_of(texts)
@@ -384,7 +400,7 @@ class TestLabelCorpusEqualsReference:
 
     def test_straddling_surface_passes_the_screen_and_labels_0(self):
         findings = "Lungs clear. Prior film."
-        assert STRADDLING_RULES.may_mention(findings)
+        assert Labeler(STRADDLING_RULES).screen(findings) == ("clear. prior",)
         labels, _ = label_corpus(records_of([findings]), STRADDLING_RULES)
         assert labels == [PriorLabel(0, ())]
 
@@ -461,12 +477,44 @@ class TestLabelCorpusEqualsReference:
         assert [[item.mention.sentence_index for item in label.evidence]
                 for label in labels] == [[1], [2, 3], [], []]
 
-    def test_may_mention_reads_the_lowercase(self):
-        assert CUSTOM_RULES.may_mention("\u212aV")
-        assert CUSTOM_RULES.may_mention("İ")
-        assert CUSTOM_RULES.may_mention("Α ΑΣ.")
-        assert not CUSTOM_RULES.may_mention("Α ΑΣΑ")
-        assert not CUSTOM_RULES.may_mention("K\u0307")
+    def test_screen_reads_the_lowercase(self):
+        screen = Labeler(CUSTOM_RULES).screen
+        assert screen("\u212aV") == ("kv",)
+        assert screen("İ") == ("i\u0307",)
+        assert screen("Α ΑΣ.") == ("ας",)
+        assert not screen("Α ΑΣΑ")
+        assert not screen("K\u0307")
+
+    def test_screen_leaves_out_a_surface_that_holds_another(self):
+        screen = Labeler(NESTED_RULES).screen
+        assert screen("PREVIOUSLY unchanged.") == ("unchang", "previous")
+        assert screen("Previous film.") == ("previous",)
+        assert screen("Unchanging.") == ("unchang",)
+        assert not screen("Prev. unch.")
+
+    def test_one_engine_for_two_corpora_equals_a_fresh_one_for_each(
+            self, rules, monkeypatch):
+        tokenized = []
+
+        def recording_tokenize(sentence):
+            tokenized.append(sentence)
+            return tokenize(sentence)
+        monkeypatch.setattr(labeler, "tokenize", recording_tokenize)
+        shared = "Stable since PRIOR film."
+        corpora = [records_of([f"Heart normal. {shared}", "No prior study."]),
+                   records_of([f"FINDINGS: Lungs clear. Heart normal. {shared}"
+                               " IMPRESSION: Opacity again noted.",
+                               f"{shared} Opacity again noted."])]
+        engine = Labeler(rules)
+        shared_labels = [[engine.label(record.id, record.text)
+                          for record in records] for records in corpora]
+        assert tokenized == [shared, "No prior study.", "Opacity again noted."]
+        fresh_labels = [label_corpus(records, rules)[0] for records in corpora]
+        assert shared_labels == fresh_labels == [
+            reference_label_corpus(records, rules) for records in corpora]
+        assert [[item.mention.sentence_index for item in label.evidence]
+                for labels in shared_labels for label in labels] == \
+            [[1], [], [2], [0, 1]]
 
 
 # Sentences that recur across and within records, at any index, with
@@ -476,7 +524,8 @@ SENTENCE_POOL = [
     "No prior studies available.", "Opacity again noted.",
     "Increased opacity.", "Unchanged since XXXX.", "The lungs are clear.",
     "Heart size is normal!", "Prior film.", "Compared to früher film.",
-    "No ΑΣ film.", "\u212aVp since früher.", "FINDINGS:", "IMPRESSION:"]
+    "No ΑΣ film.", "\u212aVp since früher.", "Previously seen.",
+    "Unchanged since previous film.", "FINDINGS:", "IMPRESSION:"]
 POOL_TEXTS = st.lists(st.sampled_from(SENTENCE_POOL), max_size=8).map(" ".join)
 
 

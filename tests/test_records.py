@@ -15,8 +15,8 @@ from radpriors.analysis import Histogram, StratifiedSummary, StratumStats
 from radpriors.cli import PipelineResult, pipeline_label_then_eval
 from radpriors.corpus import CorpusRecord, Report, load_corpus
 from radpriors.infusion import ForwardResult, GradCheckReport, ImagePair
-from radpriors.labeler import (ClassifiedMention, LabelCounts, Mention,
-                               PriorLabel)
+from radpriors.labeler import (ClassifiedMention, LabelCounts, Labeler,
+                               Mention, PriorLabel)
 from radpriors.metrics import CorpusScores, MetricReport, ReportScores
 from radpriors.rules import (KeywordEntry, RuleSet, RuleTemplate, _Gap,
                              _Literal, default_rules, parse_template)
@@ -80,7 +80,7 @@ class TestRuleSet:
         assert rules.keyword_for("increased") == KeywordEntry("increase", True)
         assert rules.keyword_for("prior") == KeywordEntry("prior")
         assert rules.keyword_for("stable") is None
-        assert rules.may_mention("Compared to PRIOR.")
+        assert Labeler(rules).screen("Compared to PRIOR.") == ("prior",)
 
     def test_equality_covers_the_public_fields_only(self):
         used, fresh = default_rules(), default_rules()
@@ -124,7 +124,7 @@ class TestRuleSet:
             rules.keywords = (KeywordEntry("stable"),)
         assert rules.keyword_for("stable") is None
         assert rules.keyword_for("prior") == KeywordEntry("prior")
-        assert not rules.may_mention("Stable.")
+        assert not Labeler(rules).screen("Stable.")
         assert rules != RuleSet([KeywordEntry("stable")], [], [], frozenset())
         assert rules == RuleSet([KeywordEntry("prior")], [], [], frozenset())
         for name in RuleSet._FIELDS:
