@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     label.add_argument("--label-on", choices=TEXT_FIELDS,
                        default="text", help="which field to label")
     label.add_argument("--summary", help="also write the counts JSON here")
-    label.set_defaults(func=_cmd_label)
+    label.set_defaults(func=_cmd_label, command_parser=label)
 
     evaluate = commands.add_parser(
         "eval", help="score candidates against references")
@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--csv", help="also write per-report scores as CSV")
     evaluate.add_argument("--gold-labels", action="store_true",
                           help="copy gold labels into the per-report rows")
-    evaluate.set_defaults(func=_cmd_eval)
+    evaluate.set_defaults(func=_cmd_eval, command_parser=evaluate)
 
     analyze = commands.add_parser(
         "analyze", help="label candidates, score them, stratify by label")
@@ -318,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--csv", help="also write per-report scores as CSV")
     analyze.add_argument("--plot-data", type=_plot_data_path,
                          help="write histogram CSV here (stats JSON beside it)")
-    analyze.set_defaults(func=_cmd_analyze)
+    analyze.set_defaults(func=_cmd_analyze, command_parser=analyze)
 
     demo = commands.add_parser(
         "infuse-demo", help="run the prior-infused toy decoder")
@@ -329,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--emit-latents", help="write latent matrices as JSON")
     demo.add_argument("--grad-check", action="store_true",
                       help="also compare analytic and numeric gradients")
-    demo.set_defaults(func=_cmd_infuse_demo)
+    demo.set_defaults(func=_cmd_infuse_demo, command_parser=demo)
     return parser
 
 
@@ -361,7 +361,8 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         error = _file_error(args)
         if error:
-            parser.error(error)
+            # As argparse reports an error in the command's own options.
+            args.command_parser.error(error)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

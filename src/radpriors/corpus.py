@@ -44,6 +44,9 @@ _STOP_HEADERS = ("impression:", "recommendation:")
 
 # Sentence-final periods are suppressed after these lowercase words.
 _ABBREVIATIONS = {"dr", "mr", "mrs", "ms", "vs", "a.m", "p.m", "e.g", "i.e"}
+# Lowercasing never shortens a string, so a word longer than every
+# abbreviation is never guarded, and a guard need read no further back.
+_GUARD_REACH = max(map(len, _ABBREVIATIONS)) + 1
 
 # A sentence may end at a terminator followed by whitespace or the end of
 # the text; ``\s`` and ``str.isspace`` accept the same characters.
@@ -112,11 +115,10 @@ def split_sentences(text: str) -> list[str]:
 
 
 def _guarded_period(text: str, i: int) -> bool:
-    # Word immediately before the period, without the period itself.
-    j = i
-    while j > 0 and not text[j - 1].isspace():
-        j -= 1
-    word = text[j:i].lower()
+    # The word before the period at ``i``, cut to its last _GUARD_REACH
+    # characters, which leaves it guarded exactly when the whole word is.
+    # The slice ends with the period, so its last piece is the word and it.
+    word = text[max(i - _GUARD_REACH, 0):i + 1].split()[-1][:-1].lower()
     if len(word) == 1 and word.isalpha():
         return True
     return word in _ABBREVIATIONS

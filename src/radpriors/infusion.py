@@ -17,13 +17,17 @@ One encoder pass serves :func:`forward` and :func:`teacher_forced_loss`,
 a loss along the fixed tokens ``PROBE`` whose gradients are implemented
 by hand (reverse-mode over the fixed graph) and validated against
 central finite differences in :func:`grad_check`.
-All arithmetic is float64 with seeded initialization, so equal seeds
-give bitwise-equal weights and outputs.
+All arithmetic is float64. Every seeded value (images, weights, the
+probes' indices) comes from the standard library's ``random.Random``
+through ``random()`` alone, whose stream Python keeps across versions,
+so equal seeds give bitwise-equal weights and outputs.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -71,11 +75,26 @@ class ImagePair(NamedTuple):
 
 
 def demo_image_pair(seed: int) -> ImagePair:
-    """Deterministic synthetic image pair for demos and tests."""
-    rng = np.random.default_rng(seed)
-    shape = (IMAGE_SIZE, IMAGE_SIZE)
-    return ImagePair(frontal=rng.uniform(-1.0, 1.0, shape),
-                     lateral=rng.uniform(-1.0, 1.0, shape))
+    """Deterministic synthetic image pair for demos and tests.
+
+    Each pixel is ``2u - 1`` for the next ``u`` of ``Random(seed)``,
+    frontal then lateral, each in row-major order.
+    """
+    draw = random.Random(seed).random
+    pixels = [2.0 * draw() - 1.0 for _ in range(2 * IMAGE_SIZE * IMAGE_SIZE)]
+    frontal, lateral = np.array(pixels).reshape(2, IMAGE_SIZE, IMAGE_SIZE)
+    return ImagePair(frontal=frontal, lateral=lateral)
+
+
+def _standard_normals(seed: int) -> Iterator[float]:
+    """Box-Muller on pairs of ``Random(seed)`` draws ``u1, u2``: yields
+    ``sqrt(-2 ln(1 - u1))`` times ``cos``, then ``sin``, of ``2 pi u2``."""
+    draw = random.Random(seed).random
+    while True:
+        radius = math.sqrt(-2.0 * math.log(1.0 - draw()))
+        angle = 2.0 * math.pi * draw()
+        yield radius * math.cos(angle)
+        yield radius * math.sin(angle)
 
 
 def _sinusoid(length: int, width: int) -> np.ndarray:
@@ -116,10 +135,13 @@ class ToyModel:
     """Parameter store plus the fixed positional tables."""
 
     def __init__(self, seed: int = 17) -> None:
-        rng = np.random.default_rng(seed)
+        # One stream of standard normals fills the parameters in table
+        # order, each in row-major order.
+        normals = _standard_normals(seed)
         self.params: dict[str, np.ndarray] = {}
         for name, shape, fan_in in _PARAM_SHAPES:
-            weights = rng.standard_normal(shape)
+            weights = np.fromiter(normals, float,
+                                  math.prod(shape)).reshape(shape)
             if fan_in is not None:
                 weights /= math.sqrt(fan_in)
             else:
@@ -393,21 +415,21 @@ def grad_check(model: ToyModel, images: ImagePair, prior: float,
                step: float = 1e-4, sample_seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    One entry of every parameter array is sampled (seeded, so the choice
-    is reproducible) along with d loss / d prior. The analytic gradients
-    take one backward pass; each finite-difference probe runs forward
-    only.
+    One entry of every parameter array is sampled along with d loss /
+    d prior: the flat index ``int(u * array.size)`` for the next ``u`` of
+    ``Random(sample_seed)``, so the choice is reproducible. The analytic
+    gradients take one backward pass; each finite-difference probe runs
+    forward only.
     """
     _, grads, d_prior = teacher_forced_loss(model, images, prior)
-    rng = np.random.default_rng(sample_seed)
+    draw = random.Random(sample_seed).random
     per_param: dict[str, float] = {}
 
     def loss_at(prior_value: float) -> float:
         return _probe_forward(model, images, prior_value)[0]
 
     for name, array in model.params.items():
-        flat_index = int(rng.integers(array.size))
-        index = np.unravel_index(flat_index, array.shape)
+        index = np.unravel_index(int(draw() * array.size), array.shape)
         original = array[index]
         array[index] = original + step
         plus = loss_at(prior)

@@ -15,13 +15,16 @@ every prior template, in file order.
 
 ``reference_grad_check`` is the finite-difference check as it ran when
 every probe called ``teacher_forced_loss``, backward pass included, and
-kept only the loss.
+kept only the loss.  It draws each probe's flat index as ``grad_check``
+does, ``int(u * array.size)`` for the next ``u`` of
+``random.Random(sample_seed)``.
 
 ``cosine`` is the dict adapter over ``metrics._cosine`` that ``metrics``
 exported while no scoring path called it; the cosine tests reach the
 scorer's cosine through it.
 """
 
+import random
 from itertools import repeat
 
 import numpy as np
@@ -149,7 +152,7 @@ def cosine(u, v):
 def reference_grad_check(model, images, prior, step=1e-4, sample_seed=0):
     loss, grads, d_prior = teacher_forced_loss(model, images, prior)
     del loss
-    rng = np.random.default_rng(sample_seed)
+    draw = random.Random(sample_seed).random
     per_param = {}
 
     def loss_at(prior_value):
@@ -157,7 +160,7 @@ def reference_grad_check(model, images, prior, step=1e-4, sample_seed=0):
         return value
 
     for name, array in model.params.items():
-        flat_index = int(rng.integers(array.size))
+        flat_index = int(draw() * array.size)
         index = np.unravel_index(flat_index, array.shape)
         original = array[index]
         array[index] = original + step

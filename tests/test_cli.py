@@ -379,6 +379,27 @@ class TestOutputPaths:
             f" error: argument {option}: must name a file, got ''\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, error", [
+        (["label", "--in", "x", "--out", ""],
+         "argument --out: must name a file, got ''"),
+        (["eval", "--in", "x", "--out", "m.json", "--csv", "./m.json"],
+         "--out and --csv name the same file: ./m.json"),
+        (["analyze", "--in", "x", "--out", "a.json", "--plot-data", "a.csv"],
+         "--out and the stats JSON of --plot-data name the same file: "
+         "a.json"),
+    ], ids=["empty", "eval-same-file", "analyze-same-file"])
+    def test_a_file_option_error_reads_as_the_commands_own(
+            self, tmp_path, monkeypatch, capsys, argv, error):
+        # argparse's own error for the command: --in and --out missing.
+        monkeypatch.chdir(tmp_path)
+        assert run(argv[:1]) == 1
+        *usage, _ = capsys.readouterr().err.splitlines()
+        assert usage[0].startswith(f"usage: radpriors {argv[0]} [-h]")
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            *usage, f"radpriors {argv[0]}: error: {error}"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_an_out_link_is_replaced_by_a_file_and_its_target_kept(
             self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -411,21 +432,22 @@ assert "numpy" not in sys.modules, "numpy was loaded"
 
 # Runs the code in argv[1] with argv[2:] as its argv, then prints the
 # radpriors modules and the costly ones it left in sys.modules as the last
-# line: numpy, and dataclasses with the inspect it imports.
+# line: numpy, numpy.random, and dataclasses with the inspect it imports.
 _LOADED_AFTER = """
 import json, sys
 code, sys.argv = sys.argv[1], sys.argv[1:]
 exec(code)
 print(json.dumps(sorted(name for name in sys.modules
-                        if name in ("numpy", "dataclasses", "inspect")
+                        if name in ("numpy", "numpy.random", "dataclasses",
+                                    "inspect")
                         or name.startswith("radpriors"))))
 """
 _RUN_CLI = "from radpriors.cli import run; assert run(sys.argv[1:]) == 0"
 
 
 def _loaded_after(code, *argv):
-    """The radpriors, numpy, dataclasses and inspect modules loaded by
-    ``code`` run in a fresh interpreter."""
+    """The radpriors, numpy, numpy.random, dataclasses and inspect modules
+    loaded by ``code`` run in a fresh interpreter."""
     src = str(Path(radpriors.__file__).resolve().parents[1])
     completed = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER, code, *map(str, argv)],
@@ -480,7 +502,8 @@ class TestImports:
         expected = {"radpriors", "radpriors._io", "radpriors.cli",
                     *(f"radpriors.{name}" for name in modules)}
         if "infusion" in modules:
-            # numpy imports inspect itself.
+            # numpy imports inspect itself; the toy model draws its seeded
+            # values from random.Random, so numpy.random stays unloaded.
             expected |= {"numpy", "inspect"}
         assert loaded == expected
 

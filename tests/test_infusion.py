@@ -1,5 +1,8 @@
 """Prior infusion on the deterministic toy encoder-decoder."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -208,3 +211,62 @@ class TestGradients:
         loss, grads, _ = teacher_forced_loss(model, images, prior=1.0)
         assert np.isfinite(loss)
         assert set(grads) == set(model.params)
+
+
+def _box_muller(seed, count):
+    """The first ``count`` standard normals drawn for ``ToyModel(seed)``."""
+    draw = random.Random(seed).random
+    values = []
+    while len(values) < count:
+        u1, u2 = draw(), draw()
+        radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+        values += [radius * math.cos(2.0 * math.pi * u2),
+                   radius * math.sin(2.0 * math.pi * u2)]
+    return values[:count]
+
+
+class TestSeededDraws:
+    """Every seeded value, recomputed from ``random.Random(seed).random()``
+    by the formulas the README states, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 2**40])
+    def test_images_are_two_u_minus_one(self, seed):
+        draw = random.Random(seed).random
+        expected = [2.0 * draw() - 1.0 for _ in range(2 * IMAGE_SIZE ** 2)]
+        images = demo_image_pair(seed)
+        got = np.concatenate([images.frontal.ravel(), images.lateral.ravel()])
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 2**40])
+    def test_weights_are_box_muller_normals_in_table_order(self, seed):
+        model = ToyModel(seed)
+        normals = iter(_box_muller(seed, model.parameter_count()))
+        assert infusion._PARAM_SHAPES[0][0] == "W_proj"
+        for name, shape, fan_in in infusion._PARAM_SHAPES:
+            array = model.params[name]
+            assert array.shape == shape, name
+            drawn = [next(normals) for _ in range(array.size)]
+            expected = [value * 0.1 if fan_in is None
+                        else value / math.sqrt(fan_in) for value in drawn]
+            assert array.tobytes() == np.array(expected).tobytes(), name
+
+    def test_probe_indices_are_int_u_times_size(self, images, monkeypatch):
+        model = ToyModel()
+        saved = {name: array.copy() for name, array in model.params.items()}
+        probed = []
+
+        def spy(model, images, prior):
+            for name, array in model.params.items():
+                moved = np.flatnonzero(array != saved[name])
+                if moved.size:
+                    probed.append((name, int(moved[0])))
+            return probe_forward(model, images, prior)
+
+        probe_forward = infusion._probe_forward
+        monkeypatch.setattr(infusion, "_probe_forward", spy)
+        grad_check(model, images, prior=1.0, sample_seed=5)
+        draw = random.Random(5).random
+        expected = [(name, int(draw() * array.size))
+                    for name, array in model.params.items()]
+        assert probed[0::2] == expected
+        assert probed[1::2] == expected
