@@ -1,4 +1,7 @@
-"""Label-stratified score summaries and plot-ready exports.
+"""The analyze pipeline: label-stratified score summaries and plot exports.
+
+:func:`pipeline_label_then_eval` computes all that ``analyze`` reports and
+:mod:`radpriors.cli` serializes it; only ``analyze`` loads this module.
 
 Scores are grouped by binary label and reduced to count, mean,
 population standard deviation, extrema, and a fixed-width histogram.
@@ -15,14 +18,20 @@ import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from ._io import indented_json
+from ._io import METRIC_NAMES, indented_json
+from .corpus import CorpusRecord
+from .labeler import LabelCounts, PriorLabel, label_corpus
+from .metrics import CIDER_SCALE, MetricReport, _metric_values, evaluate_corpus
+from .rules import RuleSet, default_rules
 
 __all__ = [
     "ScoreRow",
     "Histogram",
     "StratumStats",
     "StratifiedSummary",
+    "PipelineResult",
     "stratify",
+    "pipeline_label_then_eval",
     "emit_plot_data",
     "plot_stats_path",
 ]
@@ -62,6 +71,13 @@ class StratifiedSummary(NamedTuple):
     positive: StratumStats | None
     bins: int
     value_range: tuple[float, float]
+
+    @property
+    def positive_mean_below_negative(self) -> bool | None:
+        """None when a stratum is absent; left out of :meth:`to_dict`."""
+        if self.negative is None or self.positive is None:
+            return None
+        return self.positive.mean < self.negative.mean
 
     def to_dict(self) -> dict:
         return {
@@ -129,6 +145,40 @@ def stratify(rows: Sequence[ScoreRow], bins: int = DEFAULT_BINS,
                           if stratum else None)
     return StratifiedSummary(negative=strata[0], positive=strata[1],
                              bins=bins, value_range=value_range)
+
+
+class PipelineResult(NamedTuple):
+    """Everything the analyze pipeline produces in one pass."""
+
+    metrics: MetricReport
+    counts: LabelCounts
+    labels: list[PriorLabel]
+    summary: StratifiedSummary
+
+
+def pipeline_label_then_eval(records: list[CorpusRecord],
+                             rules: RuleSet | None = None,
+                             metric: str = "bleu4",
+                             bins: int = DEFAULT_BINS) -> PipelineResult:
+    """Label candidates, score them, and stratify scores by label.
+
+    This mirrors the analysis used to compare generated reports: the
+    label comes from the candidate text, the score from candidate vs
+    reference, and the summary groups scores by that label; each
+    stratum's mean token length is that of its candidates.
+    """
+    if metric not in METRIC_NAMES:
+        raise ValueError(f"unknown metric {metric!r}")
+    labels, counts = label_corpus(records, rules or default_rules(),
+                                  text_source="candidate")
+    metrics = evaluate_corpus(records).with_labels(
+        label.value for label in labels)
+    rows = [ScoreRow(score=_metric_values(row)[metric], label=row.label,
+                     length=row.candidate_length)
+            for row in metrics.per_report]
+    value_range = (0.0, CIDER_SCALE if metric.startswith("cider") else 1.0)
+    return PipelineResult(metrics, counts, labels,
+                          stratify(rows, bins=bins, value_range=value_range))
 
 
 def plot_stats_path(csv_path: str | Path) -> Path:

@@ -8,6 +8,9 @@ one, writes each file to a temporary file renamed into place, then
 prints. A failed run leaves no file half-written and prints nothing; only
 a write error after those checks (a full disk, a race) leaves files.
 
+This module parses, dispatches and serializes. :mod:`radpriors.analysis`
+computes what ``analyze`` reports; its ``pipeline_label_then_eval`` and
+``PipelineResult`` are served from here on first access (PEP 562).
 Each command imports the modules it runs when it runs, so ``infuse-demo``
 loads no corpus code and ``label`` and ``eval`` load no numpy.
 
@@ -30,19 +33,17 @@ import io
 import json
 import os
 import sys
-from collections.abc import Iterable
 from contextlib import suppress
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import __version__
 from ._io import (CORPUS_FORMATS, METRIC_NAMES, TEXT_FIELDS, DataError,
                   atomic_write_text, check_target, indented_json)
 
 if TYPE_CHECKING:
-    from .analysis import StratifiedSummary
     from .corpus import CorpusRecord
-    from .labeler import LabelCounts, PriorLabel
+    from .labeler import PriorLabel
     from .metrics import MetricReport
     from .rules import RuleSet
 
@@ -56,52 +57,11 @@ _FILE_OPTIONS = (("--in", "infile"), ("--out", "out"), ("--rules", "rules"),
                  ("--emit-latents", "emit_latents"))
 
 
-def _with_labels(metrics: MetricReport,
-                 labels: Iterable[int | None]) -> MetricReport:
-    """``metrics`` with its per-report rows labeled in order."""
-    return metrics._replace(per_report=[
-        row._replace(label=label)
-        for row, label in zip(metrics.per_report, labels)])
-
-
-class PipelineResult(NamedTuple):
-    """Everything the analyze pipeline produces in one pass."""
-
-    metrics: MetricReport
-    counts: LabelCounts
-    labels: list[PriorLabel]
-    summary: StratifiedSummary
-
-
-def pipeline_label_then_eval(records: list[CorpusRecord],
-                             rules: RuleSet | None = None,
-                             metric: str = "bleu4",
-                             bins: int = 20) -> PipelineResult:
-    """Label candidates, score them, and stratify scores by label.
-
-    This mirrors the analysis used to compare generated reports: the
-    label comes from the candidate text, the score from candidate vs
-    reference, and the summary groups scores by that label; each
-    stratum's mean token length is that of its candidates.
-    """
-    from .analysis import ScoreRow, stratify
-    from .labeler import label_corpus
-    from .metrics import CIDER_SCALE, _metric_values, evaluate_corpus
-    from .rules import default_rules
-
-    if metric not in METRIC_NAMES:
-        raise ValueError(f"unknown metric {metric!r}")
-    rules = rules or default_rules()
-    labels, counts = label_corpus(records, rules, text_source="candidate")
-    metrics = _with_labels(evaluate_corpus(records),
-                           (label.value for label in labels))
-    rows = [ScoreRow(score=_metric_values(row)[metric], label=row.label,
-                     length=row.candidate_length)
-            for row in metrics.per_report]
-    value_range = (0.0, CIDER_SCALE if metric.startswith("cider") else 1.0)
-    summary = stratify(rows, bins=bins, value_range=value_range)
-    return PipelineResult(metrics=metrics, counts=counts, labels=labels,
-                          summary=summary)
+def __getattr__(name: str):
+    if name in ("pipeline_label_then_eval", "PipelineResult"):
+        from . import analysis
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_ruleset(path: str | None) -> RuleSet:
@@ -164,8 +124,7 @@ def _cmd_eval(args: argparse.Namespace) -> tuple[dict, str]:
     records = load_corpus(args.infile, format=args.format)
     metrics = evaluate_corpus(records)
     if args.gold_labels:
-        metrics = _with_labels(metrics,
-                               (record.gold_label for record in records))
+        metrics = metrics.with_labels(record.gold_label for record in records)
     files = {args.out: indented_json(metrics.to_dict())}
     if args.csv:
         files[args.csv] = _per_report_csv(metrics)
@@ -173,33 +132,28 @@ def _cmd_eval(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
-    from .analysis import emit_plot_data
+    from .analysis import emit_plot_data, pipeline_label_then_eval
     from .corpus import load_corpus
 
     records = load_corpus(args.infile, format=args.format)
     rules = _load_ruleset(args.rules)
     result = pipeline_label_then_eval(records, rules, metric=args.metric,
                                       bins=args.bins)
-    negative = result.summary.negative
-    positive = result.summary.positive
-    positive_below = None
-    if negative is not None and positive is not None:
-        positive_below = bool(positive.mean < negative.mean)
     payload = {
         "metric": args.metric,
         "counts": result.counts.to_dict(),
         "stratified": result.summary.to_dict(),
         "corpus_metrics": result.metrics.corpus.to_dict(),
-        "positive_mean_below_negative": positive_below,
+        "positive_mean_below_negative":
+            result.summary.positive_mean_below_negative,
     }
     files = {args.out: indented_json(payload)}
     if args.csv:
         files[args.csv] = _per_report_csv(result.metrics)
     if args.plot_data:
         files.update(emit_plot_data(result.summary, args.plot_data))
-    return files, json.dumps({"counts": result.counts.to_dict(),
-                              "positive_mean_below_negative": positive_below},
-                             sort_keys=True)
+    return files, json.dumps({key: payload[key] for key in (
+        "counts", "positive_mean_below_negative")}, sort_keys=True)
 
 
 def _cmd_infuse_demo(args: argparse.Namespace) -> tuple[dict, str]:

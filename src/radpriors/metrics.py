@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from itertools import chain, count, repeat
 from operator import add, mul
 from typing import NamedTuple
@@ -314,6 +314,12 @@ class MetricReport(NamedTuple):
     def to_dict(self) -> dict:
         return {"corpus": self.corpus.to_dict(),
                 "per_report": [row.to_dict() for row in self.per_report]}
+
+    def with_labels(self, labels: Iterable[int | None]) -> MetricReport:
+        """This report with its per-report rows labeled in order."""
+        return self._replace(per_report=[
+            row._replace(label=label)
+            for row, label in zip(self.per_report, labels)])
 
 
 def evaluate_corpus(records: list[CorpusRecord]) -> MetricReport:

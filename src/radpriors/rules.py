@@ -116,22 +116,33 @@ class RuleTemplate(NamedTuple):
 
 
 def _match(atoms: tuple[_Atom, ...], tokens: list[str], k: int, pos: int,
-           step: int) -> int | None:
+           step: int, failed: set[tuple[int, int]] | None = None
+           ) -> int | None:
     """Match ``atoms[k:]`` reading tokens from ``pos`` in direction ``step``.
 
     Returns the position one step past the last consumed token, or None.
+    Whether ``atoms[k:]`` match from ``pos`` depends on nothing else, so
+    each (k, pos) after a gap that failed goes into ``failed``, which the
+    first gap creates, and is not tried again. That bounds the work by
+    atoms x tokens x widest gap, where plain backtracking is exponential
+    in the number of gaps; the first match found is the same.
     """
     while k < len(atoms):
         atom = atoms[k]
         if isinstance(atom, _Gap):
+            if failed is None:
+                failed = set()
             # Each side ends in a literal, so a gap must leave a token.
             for width in range(atom.max + 1):
                 gap_end = pos + step * width
                 if not 0 <= gap_end < len(tokens):
                     break
-                found = _match(atoms, tokens, k + 1, gap_end, step)
+                if (k + 1, gap_end) in failed:
+                    continue
+                found = _match(atoms, tokens, k + 1, gap_end, step, failed)
                 if found is not None:
                     return found
+                failed.add((k + 1, gap_end))
             return None
         if not 0 <= pos < len(tokens) or tokens[pos] not in atom.choices:
             return None

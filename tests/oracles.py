@@ -19,6 +19,11 @@ kept only the loss.  It draws each probe's flat index as ``grad_check``
 does, ``int(u * array.size)`` for the next ``u`` of
 ``random.Random(sample_seed)``.
 
+``reference_template_match`` is ``RuleTemplate.match`` as it ran before
+the matcher remembered the (atom, position) states that failed: each gap
+tries its widths shortest first and backtracks through every later gap,
+which is exponential in the number of gaps.
+
 ``cosine`` is the dict adapter over ``metrics._cosine`` that ``metrics``
 exported while no scoring path called it; the cosine tests reach the
 scorer's cosine through it.
@@ -34,6 +39,7 @@ from radpriors.infusion import GradCheckReport, _rel_error, teacher_forced_loss
 from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
                                Verdict)
 from radpriors.metrics import _cosine
+from radpriors.rules import _Gap
 
 
 ABBREVIATIONS = {"dr", "mr", "mrs", "ms", "vs", "a.m", "p.m", "e.g", "i.e"}
@@ -141,6 +147,35 @@ def reference_label(report_id, raw_text, rules):
 def reference_label_corpus(records, rules, text_source="text"):
     return [reference_label(record.id, getattr(record, text_source), rules)
             for record in records]
+
+
+def _reference_match(atoms, tokens, k, pos, step):
+    while k < len(atoms):
+        atom = atoms[k]
+        if isinstance(atom, _Gap):
+            for width in range(atom.max + 1):
+                gap_end = pos + step * width
+                if not 0 <= gap_end < len(tokens):
+                    break
+                found = _reference_match(atoms, tokens, k + 1, gap_end, step)
+                if found is not None:
+                    return found
+            return None
+        if not 0 <= pos < len(tokens) or tokens[pos] not in atom.choices:
+            return None
+        pos += step
+        k += 1
+    return pos
+
+
+def reference_template_match(template, tokens, span):
+    before = _reference_match(template.pre, tokens, 0, span[0] - 1, -1)
+    if before is None:
+        return None
+    end = _reference_match(template.post, tokens, 0, span[1], 1)
+    if end is None:
+        return None
+    return (before + 1, end)
 
 
 def cosine(u, v):

@@ -64,6 +64,19 @@ class TestStratify:
         assert summary.positive is None
         assert summary.to_dict()["positive"] is None
 
+    @pytest.mark.parametrize("scores_by_label, below", [
+        ({0: [0.5, 0.7], 1: [0.2]}, True),
+        ({0: [0.2], 1: [0.5, 0.7]}, False),
+        ({0: [0.4], 1: [0.4]}, False),
+        ({0: [0.4]}, None),
+        ({1: [0.4]}, None),
+        ({}, None),
+    ], ids=["below", "above", "equal", "no-positive", "no-negative", "empty"])
+    def test_positive_mean_below_negative(self, scores_by_label, below):
+        summary = stratify(rows_from(scores_by_label))
+        assert summary.positive_mean_below_negative is below
+        assert set(summary.to_dict()) == {"metadata", "negative", "positive"}
+
     def test_histogram_counts_sum_to_stratum_size(self):
         rng = random.Random(3)
         rows = rows_from({0: [rng.random() for _ in range(37)],

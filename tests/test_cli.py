@@ -482,6 +482,20 @@ class TestImports:
         assert _loaded_after("import radpriors; radpriors.RuleSet") == \
             {"radpriors", "radpriors._io", "radpriors.rules"}
 
+    def test_cli_import_loads_no_command_module(self):
+        assert _loaded_after("import radpriors.cli") == \
+            {"radpriors", "radpriors._io", "radpriors.cli"}
+
+    @pytest.mark.parametrize("name", ["pipeline_label_then_eval",
+                                      "PipelineResult"])
+    def test_pipeline_names_are_served_from_analysis(self, name):
+        import radpriors.analysis
+        import radpriors.cli
+        assert getattr(radpriors.cli, name) is \
+            getattr(radpriors.analysis, name)
+        with pytest.raises(AttributeError):
+            radpriors.cli.StratifiedSummary
+
     @pytest.mark.parametrize("argv, modules", [
         (["label", "--in", FIXTURES / "golden4.jsonl", "--out", "OUT/l.jsonl"],
          {"corpus", "labeler", "rules"}),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import radpriors
+from oracles import reference_template_match
 from radpriors.cli import run
 from radpriors.corpus import make_report
 from radpriors.labeler import label_report
@@ -282,6 +283,29 @@ class TestTemplateMatching:
         tokens = ["cleared", "in", "the", "interval"]
         assert t.match(tokens, (3, 4)) == (1, 4)
 
+    @pytest.mark.parametrize("text, tokens, span", [
+        ("x " + "..9 a " * 6 + "{m}", ["a"] * 300 + ["prior"], (300, 301)),
+        ("{m} " + "a ..9 " * 6 + "x", ["prior"] + ["a"] * 300, (0, 1)),
+    ], ids=["before", "after"])
+    def test_each_atom_reads_each_position_at_most_once(self, text, tokens,
+                                                        span):
+        # No "x" anywhere, so every placement of the six gaps fails:
+        # backtracking through all of them reads tokens exponentially often.
+        sentence = _CountingTokens(tokens)
+        assert parse_template("r", text).match(sentence, span) is None
+        literal_atoms = 7
+        assert 0 < sentence.reads <= literal_atoms * len(tokens)
+
+
+class _CountingTokens(list):
+    """A sentence that counts its item reads: one per (atom, position)."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
 
 # Reference matcher: the parser and the two mirrored recursive matchers
 # that RuleTemplate.match used before the index-based one. Atoms stay in
@@ -378,7 +402,32 @@ SENTENCES = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1,
                      max_size=9)
 
 
+# Gap-heavy templates, always well formed: each side alternates literals
+# and gaps and ends in a literal, so many gap placements fail and the
+# remembered failures are exercised.
+LINKS = st.tuples(st.sampled_from(["a", "b", "a|b"]),
+                  st.sampled_from(["", "..0", "..1", "..2", "..3"]))
+GAPPY_TEMPLATES = st.builds(
+    lambda pre, post: " ".join(
+        [f"{literal} {gap}" for literal, gap in pre] + ["{m}"]
+        + [f"{gap} {literal}" for literal, gap in post]),
+    st.lists(LINKS, max_size=6), st.lists(LINKS, max_size=6))
+
+
 class TestMatcherEqualsReference:
+    @settings(max_examples=400, deadline=None)
+    @given(GAPPY_TEMPLATES, st.lists(st.sampled_from(["a", "b", "c"]),
+                                     min_size=1, max_size=24))
+    # Reading back from the mention at 6: "a" at 5 finds no "b" at 4..1,
+    # but "a" at 4 finds "b" at 0. Position 4 failed for "b", not for "a".
+    @example("b ..3 a ..1 {m}", ["b", "c", "c", "c", "a", "a", "c"])
+    def test_match_equals_backtracking_reference(self, text, tokens):
+        template = parse_template("r", text)
+        for position in range(len(tokens)):
+            span = (position, position + 1)
+            assert template.match(tokens, span) == \
+                reference_template_match(template, tokens, span)
+
     @settings(max_examples=400, deadline=None)
     @given(TEMPLATES, SENTENCES)
     @example("a ..2 b {m} ..1 c", ["a", "b", "a", "b", "d", "d", "c"])
