@@ -3,8 +3,9 @@
 Three tables name what the other modules share: ``TEXT_FIELDS``, the
 corpus fields that hold report text; ``CORPUS_FORMATS``, the corpus file
 formats; and ``METRIC_NAMES``, the metrics as every output names them.
-They live here because every command builds the whole parser, and no
-command may load a module it does not run.
+``DEFAULT_BINS`` is the histogram bin count of ``analyze`` and of its
+pipeline. They live here because every command builds the whole parser,
+and no command may load a module it does not run.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ _UTF8_BOM = b"\xef\xbb\xbf"
 TEXT_FIELDS = ("text", "reference", "candidate")
 CORPUS_FORMATS = ("jsonl", "csv")
 METRIC_NAMES = ("bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "cider")
+DEFAULT_BINS = 20
 
 
 class DataError(ValueError):

@@ -18,7 +18,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from ._io import METRIC_NAMES, indented_json
+from ._io import DEFAULT_BINS, METRIC_NAMES, indented_json
 from .corpus import CorpusRecord
 from .labeler import LabelCounts, PriorLabel, label_corpus
 from .metrics import CIDER_SCALE, MetricReport, _metric_values, evaluate_corpus
@@ -35,9 +35,6 @@ __all__ = [
     "emit_plot_data",
     "plot_stats_path",
 ]
-
-DEFAULT_BINS = 20
-
 
 class ScoreRow(NamedTuple):
     score: float

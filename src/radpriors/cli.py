@@ -38,8 +38,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from ._io import (CORPUS_FORMATS, METRIC_NAMES, TEXT_FIELDS, DataError,
-                  atomic_write_text, check_target, indented_json)
+from ._io import (CORPUS_FORMATS, DEFAULT_BINS, METRIC_NAMES, TEXT_FIELDS,
+                  DataError, atomic_write_text, check_target, indented_json)
 
 if TYPE_CHECKING:
     from .corpus import CorpusRecord
@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--metric", choices=METRIC_NAMES, default="bleu4",
                          help="metric to stratify")
     analyze.add_argument("--bins", type=_int_at_least(1, "a positive integer"),
-                         default=20, help="histogram bin count")
+                         default=DEFAULT_BINS, help="histogram bin count")
     analyze.add_argument("--csv", help="also write per-report scores as CSV")
     analyze.add_argument("--plot-data", type=_plot_data_path,
                          help="write histogram CSV here (stats JSON beside it)")

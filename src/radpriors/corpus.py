@@ -100,21 +100,29 @@ def split_sentences(text: str) -> list[str]:
     """
     sentences: list[str] = []
     start = 0
-    for boundary in _BOUNDARY.finditer(text):
-        i = boundary.start()
-        if text[i] == "." and _guarded_period(text, i):
-            continue
-        sentence = text[start:i + 1].strip()
+    for end in _sentence_ends(text):
+        sentence = text[start:end].strip()
         if sentence:
             sentences.append(sentence)
-        start = i + 1
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
+        start = end
     return sentences
 
 
+def _sentence_ends(text: str) -> Iterator[int]:
+    # Where each sentence of ``text`` ends: one past each terminator that
+    # ends one, then the end of the text.  Only that last sentence can be
+    # blank; every other holds its terminator.
+    for boundary in _BOUNDARY.finditer(text):
+        i = boundary.start()
+        if text[i] != "." or not _guarded_period(text, i):
+            yield i + 1
+    yield len(text)
+
+
 def _guarded_period(text: str, i: int) -> bool:
+    # After _GUARD_REACH letters, the word is too long to be guarded.
+    if i >= _GUARD_REACH and text[i - _GUARD_REACH:i].isalpha():
+        return False
     # The word before the period at ``i``, cut to its last _GUARD_REACH
     # characters, which leaves it guarded exactly when the whole word is.
     # The slice ends with the period, so its last piece is the word and it.

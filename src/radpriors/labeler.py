@@ -14,13 +14,17 @@ Classification is local to a sentence and independent across mentions,
 so reports can be labeled with any order-preserving parallel map, and a
 sentence's evidence does not depend on the report it sits in.
 :class:`Labeler`, the engine, therefore labels each distinct sentence
-once and keeps its evidence by sentence text; each occurrence copies the
-evidence with its own sentence index. It screens each findings section
-once (:meth:`Labeler.screen`): a section that holds no keyword surface
-is not split, and a sentence is tokenized only if it holds one of its
-section's surfaces. A mention is tried only against the templates whose
-literals its sentence holds (:meth:`RuleSet.templates_for`), in file
-order, so the same rule fires.
+once, up to case, and keeps its evidence by the sentence's lowercase;
+each occurrence copies the evidence with its own sentence index. It
+lowercases each findings section once, after cutting it, and screens it
+once for keyword surfaces (:meth:`Labeler.screen`), whose positions it
+then finds. A section that holds none is not split; otherwise only the
+sentences up to the one that holds the last hit are cut, and only a
+sentence that holds a hit is stripped, looked up, and on a miss
+tokenized and labeled. So the cache holds only keyword sentences, and
+grows with the distinct ones. A mention is tried only against the
+templates whose literals its sentence holds
+(:meth:`RuleSet.templates_for`), in file order, so the same rule fires.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import enum
 from typing import NamedTuple
 
 from ._io import TEXT_FIELDS
-from .corpus import (CorpusError, CorpusRecord, Report, extract_findings,
-                     split_sentences, tokenize)
+from .corpus import (CorpusError, CorpusRecord, Report, _sentence_ends,
+                     extract_findings, tokenize)
 # Re-exported: bench/test_bench.py instruments labeler.make_report.
 from .corpus import make_report  # noqa: F401
 from .rules import KeywordEntry, RuleSet
@@ -179,7 +183,8 @@ class Labeler:
         surfaces = dict.fromkeys(entry.surface for entry in rules.keywords)
         self._screen = tuple(surface for surface in surfaces if not any(
             other in surface and other != surface for other in surfaces))
-        # Sentence text -> the evidence of a one-sentence report of it.
+        # A keyword sentence's lowercase -> the evidence of a one-sentence
+        # report of it.
         self._evidence_of: dict[str, tuple[ClassifiedMention, ...]] = {}
 
     def screen(self, text: str) -> tuple[str, ...]:
@@ -193,19 +198,44 @@ class Labeler:
         return tuple(filter(text.lower().__contains__, self._screen))
 
     def label(self, record_id: str, text: str) -> PriorLabel:
-        """The label ``label_report(make_report(record_id, text), rules)``."""
-        findings = extract_findings(text)
-        surfaces = self.screen(findings)
+        """The label ``label_report(make_report(record_id, text), rules)``.
+
+        Works on the cut section's lowercase, whose sentences are those of
+        the section, lowercased; evidence depends only on the tokens,
+        which ``tokenize`` lowercases anyway. The lowercase of the whole
+        text would not do: a final sigma lowercases by what follows it.
+        """
+        findings = extract_findings(text).lower()
+        hits = []
+        # The screen, on a text already lowercase: ``screen`` would
+        # lowercase it again.
+        for surface in filter(findings.__contains__, self._screen):
+            position = findings.find(surface)
+            while position >= 0:
+                hits.append((position, position + len(surface)))
+                position = findings.find(surface, position + 1)
+        if not hits:
+            return _NO_MENTIONS
+        hits.sort()
         evidence: list[ClassifiedMention] = []
-        for index, sentence in enumerate(
-                split_sentences(findings) if surfaces else ()):
+        # Sentences are cut only up to the one that holds the last hit,
+        # and only one that holds a hit is stripped and labeled. No
+        # sentence before the last is blank, so ends count sentences.
+        ends = enumerate(_sentence_ends(findings))
+        index = start = end = 0
+        labeled = -1
+        for first, last in hits:
+            while end <= first:
+                start = end
+                index, end = next(ends)
+            if last > end or index == labeled:
+                continue
+            labeled = index
+            sentence = findings[start:end].strip()
             found = self._evidence_of.get(sentence)
             if found is None:
-                found = ()
-                if any(map(sentence.lower().__contains__, surfaces)):
-                    report = Report(record_id, [sentence],
-                                    [tokenize(sentence)])
-                    found = label_report(report, self.rules).evidence
+                report = Report(record_id, [sentence], [tokenize(sentence)])
+                found = label_report(report, self.rules).evidence
                 self._evidence_of[sentence] = found
             if found:
                 evidence += found if index == 0 else [

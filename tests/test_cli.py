@@ -209,6 +209,13 @@ class TestExitCodes:
             "radpriors analyze: error: argument --bins: "
             "must be a positive integer, got '0'"]
 
+    def test_analyze_bins_default_is_the_pipelines(self):
+        from radpriors import analysis
+        from radpriors.cli import _build_parser
+        args = _build_parser().parse_args(["analyze", "--in", "x.jsonl",
+                                           "--out", "y.json"])
+        assert args.bins == analysis.DEFAULT_BINS
+
     @pytest.mark.parametrize("plot_data", [".", "/"])
     def test_plot_data_without_file_name_is_usage_error(self, plot_data,
                                                         tmp_path, capsys):

@@ -116,12 +116,41 @@ class TestSplitSentencesEqualsReference:
     @example("Effusion?!. No.\x1cClear!\x85Stable.\xa0Done?")
     @example("Stable vs.\x1fprior. B.\x1d x")
     @example(".")
+    @example("Abcd. İİİİ. ΑΣΑΣ.\x85a.m. E.G. Xy3z. Mrs. x.")
     def test_regex_boundaries_match_the_loop(self, text):
         assert split_sentences(text) == reference_split_sentences(text)
 
     def test_regex_whitespace_is_str_isspace(self):
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         assert re.findall(r"\s", every) == [ch for ch in every if ch.isspace()]
+
+
+# Characters whose lowercase differs in length or by context: final
+# sigma, dotted capital I, the Kelvin sign, capital sharp s.
+CASED_TEXTS = st.lists(st.one_of(
+    st.sampled_from(["Σ", "ΑΣ", "İ", "\u212a", "ẞ", "\x85", ".", "!", "?",
+                     " ", "Dr", "VS", "E.G", "A.M", "B", "x", "FINDINGS:"]),
+    st.text(max_size=3)), max_size=20).map("".join)
+
+
+class TestSplitSentencesOfTheLowercase:
+    """The labeling engine splits a findings section's lowercase."""
+
+    @given(CASED_TEXTS)
+    @example("ΑΣ. exam")
+    @example("İ. Stable.")
+    @example("\u212a. film")
+    @example("Dr. XXXX. Dr.")
+    @example("ΑΣ.\x85film İ.\x85")
+    def test_sentences_of_the_lowercase_are_the_lowercase_sentences(
+            self, findings):
+        assert split_sentences(findings.lower()) == \
+            [sentence.lower() for sentence in split_sentences(findings)]
+
+    def test_the_section_is_lowercased_after_it_is_cut(self):
+        # A final sigma lowercases by the letters before it.
+        assert extract_findings("p.FINDINGS:Σ").lower() == "σ"
+        assert extract_findings("p.FINDINGS:Σ".lower()) == "ς"
 
 
 class TestTokenize:

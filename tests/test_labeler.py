@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 import radpriors.labeler as labeler
 from oracles import (reference_extract_mentions, reference_label_corpus,
                      reference_label_report, reference_make_report)
-from radpriors.corpus import (CorpusError, CorpusRecord, Report, load_corpus,
-                              make_report, split_sentences, tokenize)
+from radpriors.corpus import (CorpusError, CorpusRecord, Report,
+                              _sentence_ends, load_corpus, make_report,
+                              tokenize)
 from radpriors.labeler import (ClassifiedMention, Labeler, Mention,
                                PriorLabel, Verdict, aggregate,
                                classify_mentions, extract_mentions,
@@ -406,16 +407,18 @@ class TestLabelCorpusEqualsReference:
 
     def test_only_sentences_holding_a_surface_are_tokenized(self, rules,
                                                             monkeypatch):
-        split, tokenized = [], []
+        cut, tokenized = [], []
 
-        def recording_split(findings):
-            split.append(findings)
-            return split_sentences(findings)
+        def recording_ends(findings):
+            cut.append((findings, []))
+            for end in _sentence_ends(findings):
+                cut[-1][1].append(end)
+                yield end
 
         def recording_tokenize(sentence):
             tokenized.append(sentence)
             return tokenize(sentence)
-        monkeypatch.setattr(labeler, "split_sentences", recording_split)
+        monkeypatch.setattr(labeler, "_sentence_ends", recording_ends)
         monkeypatch.setattr(labeler, "tokenize", recording_tokenize)
         texts = ["FINDINGS: Lungs clear. Stable since PRIOR film. Heart "
                  "normal. Nonprior opacity! IMPRESSION: Prior exam.",
@@ -423,14 +426,38 @@ class TestLabelCorpusEqualsReference:
                  "No effusion. Unchanged from XXXX."]
         records = records_of(texts)
         labels, counts = label_corpus(records, rules)
-        assert split == ["Lungs clear. Stable since PRIOR film. Heart "
-                         "normal. Nonprior opacity!", texts[2]]
-        assert tokenized == ["Stable since PRIOR film.", "Nonprior opacity!",
-                             "Unchanged from XXXX."]
+        # Each passing section's ends, up to the sentence of its last hit.
+        assert cut == [("lungs clear. stable since prior film. heart "
+                        "normal. nonprior opacity!", [12, 37, 51, 69]),
+                       ("no effusion. unchanged from xxxx.", [12, 33])]
+        assert tokenized == ["stable since prior film.", "nonprior opacity!",
+                             "unchanged from xxxx."]
         assert labels == reference_label_corpus(records, rules)
         assert [label.value for label in labels] == [1, 0, 1]
         assert [item.mention.sentence_index for label in labels
                 for item in label.evidence] == [1, 1]
+
+    def test_sentences_after_the_last_hit_are_not_cut(self, rules,
+                                                      monkeypatch):
+        cut = []
+
+        def recording_ends(findings):
+            for end in _sentence_ends(findings):
+                cut.append(end)
+                yield end
+        monkeypatch.setattr(labeler, "_sentence_ends", recording_ends)
+        records = records_of(["Stable since prior film. Heart normal. "
+                              "Lungs clear. No effusion."])
+        labels, _ = label_corpus(records, rules)
+        assert cut == [24]
+        assert labels == reference_label_corpus(records, rules)
+        # A hit across a sentence end is in neither sentence.
+        cut.clear()
+        engine = Labeler(STRADDLING_RULES)
+        assert engine.label("r", "Lungs clear. Prior film.") == \
+            PriorLabel(0, ())
+        assert cut == [12]
+        assert not engine._evidence_of
 
     def test_keyword_free_sections_skip_extraction(self, rules, monkeypatch):
         extracted = []
@@ -469,8 +496,9 @@ class TestLabelCorpusEqualsReference:
             "Heart normal. Lungs clear!"])
         for _ in range(2):
             labels, _ = label_corpus(records, rules)
-            assert tokenized == [prior, negated]
-            assert extracted == [("r0", [prior]), ("r1", [negated])]
+            assert tokenized == [prior.lower(), negated.lower()]
+            assert extracted == [("r0", [prior.lower()]),
+                                 ("r1", [negated.lower()])]
             assert labels == reference_label_corpus(records, rules)
             tokenized.clear()
             extracted.clear()
@@ -508,13 +536,43 @@ class TestLabelCorpusEqualsReference:
         engine = Labeler(rules)
         shared_labels = [[engine.label(record.id, record.text)
                           for record in records] for records in corpora]
-        assert tokenized == [shared, "No prior study.", "Opacity again noted."]
+        assert tokenized == [shared.lower(), "no prior study.",
+                             "opacity again noted."]
         fresh_labels = [label_corpus(records, rules)[0] for records in corpora]
         assert shared_labels == fresh_labels == [
             reference_label_corpus(records, rules) for records in corpora]
         assert [[item.mention.sentence_index for item in label.evidence]
                 for labels in shared_labels for label in labels] == \
             [[1], [], [2], [0, 1]]
+
+    def test_the_cache_holds_only_lowercase_keyword_sentences(self, rules):
+        engine = Labeler(rules)
+        for path in sorted(FIXTURES.glob("*.jsonl")):
+            for record in load_corpus(path):
+                for text in (record.text, record.reference,
+                             record.candidate):
+                    if text is not None:
+                        engine.label(record.id, text)
+        assert len(engine._evidence_of) > 10
+        for sentence in engine._evidence_of:
+            assert sentence == sentence.lower()
+            assert engine.screen(sentence)
+
+    def test_sentences_alike_up_to_case_share_one_entry(self, rules,
+                                                        monkeypatch):
+        tokenized = []
+
+        def recording_tokenize(sentence):
+            tokenized.append(sentence)
+            return tokenize(sentence)
+        monkeypatch.setattr(labeler, "tokenize", recording_tokenize)
+        engine = Labeler(rules)
+        labels = [engine.label("r", text) for text in (
+            "Stable since PRIOR film.", "stable since prior film.")]
+        assert tokenized == ["stable since prior film."]
+        assert list(engine._evidence_of) == ["stable since prior film."]
+        assert labels[0] == labels[1] == reference_label_corpus(
+            records_of(["Stable since PRIOR film."]), rules)[0]
 
 
 # Sentences that recur across and within records, at any index, with
