@@ -3,9 +3,10 @@
 Three tables name what the other modules share: ``TEXT_FIELDS``, the
 corpus fields that hold report text; ``CORPUS_FORMATS``, the corpus file
 formats; and ``METRIC_NAMES``, the metrics as every output names them.
-``DEFAULT_BINS`` is the histogram bin count of ``analyze`` and of its
-pipeline. They live here because every command builds the whole parser,
-and no command may load a module it does not run.
+So do the defaults the parser shares with the library: ``DEFAULT_FORMAT``,
+``DEFAULT_TEXT_FIELD``, ``DEFAULT_METRIC``, ``DEFAULT_BINS`` and
+``DEFAULT_SEED``. They live here because every command builds the whole
+parser, and no command may load a module it does not run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ _UTF8_BOM = b"\xef\xbb\xbf"
 TEXT_FIELDS = ("text", "reference", "candidate")
 CORPUS_FORMATS = ("jsonl", "csv")
 METRIC_NAMES = ("bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "cider")
+DEFAULT_FORMAT = "jsonl"
+DEFAULT_TEXT_FIELD = "text"
+DEFAULT_METRIC = "bleu4"
 DEFAULT_BINS = 20
+DEFAULT_SEED = 17
 
 
 class DataError(ValueError):

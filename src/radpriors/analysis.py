@@ -18,7 +18,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from ._io import DEFAULT_BINS, METRIC_NAMES, indented_json
+from ._io import DEFAULT_BINS, DEFAULT_METRIC, METRIC_NAMES, indented_json
 from .corpus import CorpusRecord
 from .labeler import LabelCounts, PriorLabel, label_corpus
 from .metrics import CIDER_SCALE, MetricReport, _metric_values, evaluate_corpus
@@ -35,6 +35,7 @@ __all__ = [
     "emit_plot_data",
     "plot_stats_path",
 ]
+
 
 class ScoreRow(NamedTuple):
     score: float
@@ -155,7 +156,7 @@ class PipelineResult(NamedTuple):
 
 def pipeline_label_then_eval(records: list[CorpusRecord],
                              rules: RuleSet | None = None,
-                             metric: str = "bleu4",
+                             metric: str = DEFAULT_METRIC,
                              bins: int = DEFAULT_BINS) -> PipelineResult:
     """Label candidates, score them, and stratify scores by label.
 

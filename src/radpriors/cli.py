@@ -38,7 +38,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from ._io import (CORPUS_FORMATS, DEFAULT_BINS, METRIC_NAMES, TEXT_FIELDS,
+from ._io import (CORPUS_FORMATS, DEFAULT_BINS, DEFAULT_FORMAT, DEFAULT_METRIC,
+                  DEFAULT_SEED, DEFAULT_TEXT_FIELD, METRIC_NAMES, TEXT_FIELDS,
                   DataError, atomic_write_text, check_target, indented_json)
 
 if TYPE_CHECKING:
@@ -194,18 +195,6 @@ def _int_at_least(low: int, what: str):
     return parse
 
 
-def _plot_data_path(text: str) -> str:
-    """Argparse type: a path whose stats JSON can sit beside it."""
-    from .analysis import plot_stats_path
-
-    try:
-        plot_stats_path(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must name a file, got {text!r}") from None
-    return text
-
-
 class _VersionAction(argparse.Action):
     """``--version``: the package and bundled-rules versions, then exit.
 
@@ -242,14 +231,14 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="input corpus file")
         sub.add_argument("--out", required=True, help="output file")
         sub.add_argument("--format", choices=CORPUS_FORMATS,
-                         default="jsonl", help="corpus file format")
+                         default=DEFAULT_FORMAT, help="corpus file format")
 
     label = commands.add_parser(
         "label", help="label each report for comparison-prior expressions")
     add_io(label)
     label.add_argument("--rules", help="rules file overriding the bundled set")
     label.add_argument("--label-on", choices=TEXT_FIELDS,
-                       default="text", help="which field to label")
+                       default=DEFAULT_TEXT_FIELD, help="which field to label")
     label.add_argument("--summary", help="also write the counts JSON here")
     label.set_defaults(func=_cmd_label, command_parser=label)
 
@@ -265,18 +254,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze", help="label candidates, score them, stratify by label")
     add_io(analyze)
     analyze.add_argument("--rules", help="rules file overriding the bundled set")
-    analyze.add_argument("--metric", choices=METRIC_NAMES, default="bleu4",
-                         help="metric to stratify")
+    analyze.add_argument("--metric", choices=METRIC_NAMES,
+                         default=DEFAULT_METRIC, help="metric to stratify")
     analyze.add_argument("--bins", type=_int_at_least(1, "a positive integer"),
                          default=DEFAULT_BINS, help="histogram bin count")
     analyze.add_argument("--csv", help="also write per-report scores as CSV")
-    analyze.add_argument("--plot-data", type=_plot_data_path,
+    analyze.add_argument("--plot-data",
                          help="write histogram CSV here (stats JSON beside it)")
     analyze.set_defaults(func=_cmd_analyze, command_parser=analyze)
 
     demo = commands.add_parser(
         "infuse-demo", help="run the prior-infused toy decoder")
-    demo.add_argument("--seed", default=17,
+    demo.add_argument("--seed", default=DEFAULT_SEED,
                       type=_int_at_least(0, "a non-negative integer"))
     demo.add_argument("--prior", type=int, choices=(0, 1), default=1)
     demo.add_argument("--max-len", type=int, default=None)
@@ -288,15 +277,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _file_error(args: argparse.Namespace) -> str | None:
-    """The usage error of ``args``' file options, if any: an empty path,
-    which names no file, or two paths of one file, where writing both
-    would keep only the last write or replace an input."""
+    """The usage error of ``args``' file options, if any: a path that
+    names no file (empty, or a nameless ``--plot-data``), or two paths of
+    one file, where writing both would lose a write or replace an input."""
     files = [(option, getattr(args, dest)) for option, dest in _FILE_OPTIONS
              if getattr(args, dest, None) is not None]
-    if getattr(args, "plot_data", None):
+    if getattr(args, "plot_data", None) is not None:
         from .analysis import plot_stats_path
-        files.append(("the stats JSON of --plot-data",
-                      plot_stats_path(args.plot_data)))
+        try:
+            files.append(("the stats JSON of --plot-data",
+                          plot_stats_path(args.plot_data)))
+        except ValueError:
+            return ("argument --plot-data: must name a file, "
+                    f"got {args.plot_data!r}")
     seen: dict[Path, str] = {}
     for option, path in files:
         if path == "":

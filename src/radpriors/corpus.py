@@ -3,9 +3,9 @@
 Reports arrive as JSONL or CSV records with an ``id`` and a free-text
 ``text`` field, plus optional ``reference``, ``candidate``, and ``label``
 columns. A :class:`CorpusRecord` holds these raw fields as loaded; a field
-is normalized only when it is labeled. :func:`make_report` is the one
-normalization chain: :func:`extract_findings`, then
-:func:`split_sentences`, then :func:`tokenize` on each sentence.
+is normalized only when it is labeled. :func:`make_report` cuts, splits
+and tokenizes it; the labeling engine does so on the findings section's
+lowercase itself, and the tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
 
-from ._io import CORPUS_FORMATS, TEXT_FIELDS, DataError, split_cr, utf8_lines
+from ._io import (CORPUS_FORMATS, DEFAULT_FORMAT, TEXT_FIELDS, DataError,
+                  split_cr, utf8_lines)
 
 __all__ = [
     "CorpusError",
@@ -189,7 +190,8 @@ _READ_FIELDS = (*_STRING_FIELDS, "label")
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
-def load_corpus(path: str | Path, format: str = "jsonl") -> list[CorpusRecord]:
+def load_corpus(path: str | Path,
+                format: str = DEFAULT_FORMAT) -> list[CorpusRecord]:
     """Load a corpus file into records, preserving file order.
 
     Raises :class:`CorpusError` at the first malformed row or duplicate

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._io import DataError
+from ._io import DEFAULT_SEED, DataError
 
 __all__ = [
     "InfusionError",
@@ -134,7 +134,7 @@ _PARAM_SHAPES = (
 class ToyModel:
     """Parameter store plus the fixed positional tables."""
 
-    def __init__(self, seed: int = 17) -> None:
+    def __init__(self, seed: int = DEFAULT_SEED) -> None:
         # One stream of standard normals fills the parameters in table
         # order, each in row-major order.
         normals = _standard_normals(seed)

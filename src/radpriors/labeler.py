@@ -16,9 +16,9 @@ sentence's evidence does not depend on the report it sits in.
 :class:`Labeler`, the engine, therefore labels each distinct sentence
 once, up to case, and keeps its evidence by the sentence's lowercase;
 each occurrence copies the evidence with its own sentence index. It
-lowercases each findings section once, after cutting it, and screens it
-once for keyword surfaces (:meth:`Labeler.screen`), whose positions it
-then finds. A section that holds none is not split; otherwise only the
+lowercases each findings section once, after cutting it, and finds where
+each keyword surface of its screen (those :meth:`Labeler.screen` tests
+for) occurs. A section that holds none is not split; otherwise only the
 sentences up to the one that holds the last hit are cut, and only a
 sentence that holds a hit is stripped, looked up, and on a miss
 tokenized and labeled. So the cache holds only keyword sentences, and
@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from ._io import TEXT_FIELDS
+from ._io import DEFAULT_TEXT_FIELD, TEXT_FIELDS
 from .corpus import (CorpusError, CorpusRecord, Report, _sentence_ends,
                      extract_findings, tokenize)
 # Re-exported: bench/test_bench.py instruments labeler.make_report.
@@ -207,13 +207,10 @@ class Labeler:
         """
         findings = extract_findings(text).lower()
         hits = []
-        # The screen, on a text already lowercase: ``screen`` would
-        # lowercase it again.
-        for surface in filter(findings.__contains__, self._screen):
-            position = findings.find(surface)
-            while position >= 0:
+        for surface in self._screen:
+            position = -1
+            while (position := findings.find(surface, position + 1)) >= 0:
                 hits.append((position, position + len(surface)))
-                position = findings.find(surface, position + 1)
         if not hits:
             return _NO_MENTIONS
         hits.sort()
@@ -245,7 +242,8 @@ class Labeler:
 
 
 def label_corpus(records: list[CorpusRecord], rules: RuleSet,
-                 text_source: str = "text") -> tuple[list[PriorLabel], LabelCounts]:
+                 text_source: str = DEFAULT_TEXT_FIELD
+                 ) -> tuple[list[PriorLabel], LabelCounts]:
     """Label each record's ``text_source`` field (its text, reference or
     candidate) by one fresh :class:`Labeler`; return the labels and counts."""
     if text_source not in TEXT_FIELDS:

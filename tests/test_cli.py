@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -209,14 +210,27 @@ class TestExitCodes:
             "radpriors analyze: error: argument --bins: "
             "must be a positive integer, got '0'"]
 
-    def test_analyze_bins_default_is_the_pipelines(self):
-        from radpriors import analysis
+    @pytest.mark.parametrize("option, command, module, function, parameter", [
+        ("--format", "label", "corpus", "load_corpus", "format"),
+        ("--label-on", "label", "labeler", "label_corpus", "text_source"),
+        ("--metric", "analyze", "analysis", "pipeline_label_then_eval",
+         "metric"),
+        ("--bins", "analyze", "analysis", "pipeline_label_then_eval", "bins"),
+        ("--bins", "analyze", "analysis", "stratify", "bins"),
+        ("--seed", "infuse-demo", "infusion", "ToyModel", "seed"),
+    ])
+    def test_parser_default_is_the_librarys(self, option, command, module,
+                                            function, parameter):
         from radpriors.cli import _build_parser
-        args = _build_parser().parse_args(["analyze", "--in", "x.jsonl",
-                                           "--out", "y.json"])
-        assert args.bins == analysis.DEFAULT_BINS
+        argv = [command] if command == "infuse-demo" else [
+            command, "--in", "x.jsonl", "--out", "y.json"]
+        args = _build_parser().parse_args(argv)
+        library = getattr(importlib.import_module(f"radpriors.{module}"),
+                          function)
+        default = inspect.signature(library).parameters[parameter].default
+        assert getattr(args, option[2:].replace("-", "_")) == default
 
-    @pytest.mark.parametrize("plot_data", [".", "/"])
+    @pytest.mark.parametrize("plot_data", [".", "/", ""])
     def test_plot_data_without_file_name_is_usage_error(self, plot_data,
                                                         tmp_path, capsys):
         out = tmp_path / "analysis.json"
@@ -394,7 +408,10 @@ class TestOutputPaths:
         (["analyze", "--in", "x", "--out", "a.json", "--plot-data", "a.csv"],
          "--out and the stats JSON of --plot-data name the same file: "
          "a.json"),
-    ], ids=["empty", "eval-same-file", "analyze-same-file"])
+        (["analyze", "--in", "x", "--out", "", "--plot-data", "."],
+         "argument --plot-data: must name a file, got '.'"),
+    ], ids=["empty", "eval-same-file", "analyze-same-file",
+            "plot-data-before-empty"])
     def test_a_file_option_error_reads_as_the_commands_own(
             self, tmp_path, monkeypatch, capsys, argv, error):
         # argparse's own error for the command: --in and --out missing.

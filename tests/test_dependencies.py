@@ -1,9 +1,12 @@
 """Static audit of the package: its imports are the standard library and
-numpy only, one module decodes input, and one function writes output."""
+numpy only, one module decodes input, one function writes output, and
+the version is stated once."""
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 import radpriors
 
@@ -132,3 +135,15 @@ def test_only_io_opens_files_for_writing():
     opens = {module: sites.opens for module, sites in write_sites().items()
              if sites.opens}
     assert list(opens) == ["_io"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")
+def test_the_project_version_is_read_from_the_package():
+    import tomllib
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        config = tomllib.load(handle)
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"] == {
+        "version": {"attr": "radpriors.__version__"}}
