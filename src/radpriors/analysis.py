@@ -22,7 +22,7 @@ from ._io import DEFAULT_BINS, DEFAULT_METRIC, METRIC_NAMES, indented_json
 from .corpus import CorpusRecord
 from .labeler import LabelCounts, PriorLabel, label_corpus
 from .metrics import CIDER_SCALE, MetricReport, _metric_values, evaluate_corpus
-from .rules import RuleSet, default_rules
+from .rules import RuleSet
 
 __all__ = [
     "ScoreRow",
@@ -167,8 +167,7 @@ def pipeline_label_then_eval(records: list[CorpusRecord],
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}")
-    labels, counts = label_corpus(records, rules or default_rules(),
-                                  text_source="candidate")
+    labels, counts = label_corpus(records, rules, text_source="candidate")
     metrics = evaluate_corpus(records).with_labels(
         label.value for label in labels)
     rows = [ScoreRow(score=_metric_values(row)[metric], label=row.label,

@@ -46,7 +46,6 @@ if TYPE_CHECKING:
     from .corpus import CorpusRecord
     from .labeler import PriorLabel
     from .metrics import MetricReport
-    from .rules import RuleSet
 
 __all__ = ["main", "run", "pipeline_label_then_eval", "PipelineResult"]
 
@@ -63,11 +62,6 @@ def __getattr__(name: str):
         from . import analysis
         return getattr(analysis, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _load_ruleset(path: str | None) -> RuleSet:
-    from .rules import default_rules, load_rules
-    return load_rules(path) if path else default_rules()
 
 
 def _label_jsonl(records: list[CorpusRecord],
@@ -96,9 +90,10 @@ def _label_jsonl(records: list[CorpusRecord],
 def _cmd_label(args: argparse.Namespace) -> tuple[dict, str]:
     from .corpus import load_corpus
     from .labeler import label_corpus
+    from .rules import load_rules
 
     records = load_corpus(args.infile, format=args.format)
-    rules = _load_ruleset(args.rules)
+    rules = load_rules(args.rules) if args.rules else None
     labels, counts = label_corpus(records, rules, text_source=args.label_on)
     summary = json.dumps(counts.to_dict(), sort_keys=True)
     files = {args.out: _label_jsonl(records, labels)}
@@ -135,9 +130,10 @@ def _cmd_eval(args: argparse.Namespace) -> tuple[dict, str]:
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
     from .analysis import emit_plot_data, pipeline_label_then_eval
     from .corpus import load_corpus
+    from .rules import load_rules
 
     records = load_corpus(args.infile, format=args.format)
-    rules = _load_ruleset(args.rules)
+    rules = load_rules(args.rules) if args.rules else None
     result = pipeline_label_then_eval(records, rules, metric=args.metric,
                                       bins=args.bins)
     payload = {

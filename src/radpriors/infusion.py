@@ -13,21 +13,26 @@ P is a plain scalar broadcast over positions and channels. Infusion adds
 no parameters: the model's weight count is identical with and without it.
 The shapes are module constants, so a model's one setting is its seed.
 
-One encoder pass serves :func:`forward` and :func:`teacher_forced_loss`,
-a loss along the fixed tokens ``PROBE`` whose gradients are implemented
-by hand (reverse-mode over the fixed graph) and validated against
-central finite differences in :func:`grad_check`.
+Encoder and decoder run one residual attention block, each with its own
+weights: self-attention over the patch rows in the encoder, and at each
+decoder position cross-attention over the infused latents. One encoder
+pass serves :func:`forward` and :func:`teacher_forced_loss`, a loss
+along the fixed tokens ``PROBE`` whose gradients are implemented by hand
+(reverse-mode over the fixed graph, one backward of the block for both
+uses) and validated against central finite differences in
+:func:`grad_check`.
 All arithmetic is float64. Every seeded value (images, weights, the
 probes' indices) comes from the standard library's ``random.Random``
 through ``random()`` alone, whose stream Python keeps across versions,
-so equal seeds give bitwise-equal weights and outputs.
+so equal seeds give bitwise-equal weights and outputs. ``Random`` takes
+a seed's absolute value, so a negative seed raises :class:`InfusionError`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -74,22 +79,28 @@ class ImagePair(NamedTuple):
     lateral: np.ndarray
 
 
+def _draws(seed: int) -> Callable[[], float]:
+    """``Random(seed).random``; a negative seed would repeat ``-seed``'s."""
+    if seed < 0:
+        raise InfusionError(f"seed must be 0 or more, got {seed!r}")
+    return random.Random(seed).random
+
+
 def demo_image_pair(seed: int) -> ImagePair:
     """Deterministic synthetic image pair for demos and tests.
 
     Each pixel is ``2u - 1`` for the next ``u`` of ``Random(seed)``,
     frontal then lateral, each in row-major order.
     """
-    draw = random.Random(seed).random
+    draw = _draws(seed)
     pixels = [2.0 * draw() - 1.0 for _ in range(2 * IMAGE_SIZE * IMAGE_SIZE)]
     frontal, lateral = np.array(pixels).reshape(2, IMAGE_SIZE, IMAGE_SIZE)
     return ImagePair(frontal=frontal, lateral=lateral)
 
 
-def _standard_normals(seed: int) -> Iterator[float]:
-    """Box-Muller on pairs of ``Random(seed)`` draws ``u1, u2``: yields
+def _standard_normals(draw: Callable[[], float]) -> Iterator[float]:
+    """Box-Muller on pairs of draws ``u1, u2``: yields
     ``sqrt(-2 ln(1 - u1))`` times ``cos``, then ``sin``, of ``2 pi u2``."""
-    draw = random.Random(seed).random
     while True:
         radius = math.sqrt(-2.0 * math.log(1.0 - draw()))
         angle = 2.0 * math.pi * draw()
@@ -137,7 +148,7 @@ class ToyModel:
     def __init__(self, seed: int = DEFAULT_SEED) -> None:
         # One stream of standard normals fills the parameters in table
         # order, each in row-major order.
-        normals = _standard_normals(seed)
+        normals = _standard_normals(_draws(seed))
         self.params: dict[str, np.ndarray] = {}
         for name, shape, fan_in in _PARAM_SHAPES:
             weights = np.fromiter(normals, float,
@@ -171,8 +182,9 @@ def infuse(tensor: np.ndarray, prior: float) -> np.ndarray:
 
 
 def _flatten_patches(images: ImagePair) -> np.ndarray:
+    """Rows: each view's patches in row-major order, each patch flattened."""
     shape = (IMAGE_SIZE, IMAGE_SIZE)
-    rows = []
+    views = []
     for view_name in ("frontal", "lateral"):
         view = np.asarray(getattr(images, view_name), dtype=float)
         if view.shape != shape:
@@ -181,11 +193,10 @@ def _flatten_patches(images: ImagePair) -> np.ndarray:
                 f"got {view.shape}")
         if not np.isfinite(view).all():
             raise InfusionError(f"{view_name} image contains non-finite values")
-        for i in range(0, IMAGE_SIZE, PATCH_SIZE):
-            for j in range(0, IMAGE_SIZE, PATCH_SIZE):
-                rows.append(view[i:i + PATCH_SIZE,
-                                 j:j + PATCH_SIZE].reshape(-1))
-    return np.stack(rows)
+        views.append(view)
+    grid = IMAGE_SIZE // PATCH_SIZE
+    return (np.stack(views).reshape(2, grid, PATCH_SIZE, grid, PATCH_SIZE)
+            .swapaxes(2, 3).reshape(NUM_PATCHES, PATCH_DIM))
 
 
 def visual_extract(images: ImagePair, model: ToyModel) -> np.ndarray:
@@ -204,8 +215,56 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def _encode(model: ToyModel, images: ImagePair,
-            prior: float | None) -> dict[str, np.ndarray]:
+# Each block's query, output projection and MLP weights, in _block's order.
+_ENCODER_BLOCK = ("W_q", "W_o", "W_f1", "b_f1", "W_f2", "b_f2")
+_DECODER_BLOCK = ("W_dq", "W_do", "W_g1", "b_g1", "W_g2", "b_g2")
+
+
+def _block(model: ToyModel, names: tuple[str, ...], x: np.ndarray,
+           keys: np.ndarray, values: np.ndarray
+           ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Rows of ``x`` attend over projected ``keys`` and ``values``, then
+    pass ``W_o``, a residual, the tanh MLP and a residual; returns the
+    output and the cache :func:`_block_backward` reads."""
+    W_q, W_o, W_1, b_1, W_2, b_2 = (model.params[name] for name in names)
+    Q = x @ W_q
+    A = _softmax_rows(Q @ keys.T / math.sqrt(keys.shape[1]))
+    C = A @ values
+    H = x + C @ W_o
+    F = np.tanh(H @ W_1 + b_1)
+    out = H + F @ W_2 + b_2
+    return out, {"x": x, "keys": keys, "values": values, "Q": Q, "A": A,
+                 "C": C, "H": H, "F": F, "out": out}
+
+
+def _block_backward(model: ToyModel, names: tuple[str, ...],
+                    cache: dict[str, np.ndarray], d_out: np.ndarray,
+                    grads: dict[str, np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Add the block's weight gradients to ``grads``; return the
+    gradients of its ``x``, ``keys`` and ``values``."""
+    p = model.params
+    W_q, W_o, W_1, b_1, W_2, b_2 = names
+    A, F = cache["A"], cache["F"]
+    grads[W_2] += F.T @ d_out
+    grads[b_2] += d_out.sum(axis=0)
+    dU = (d_out @ p[W_2].T) * (1.0 - F ** 2)
+    grads[W_1] += cache["H"].T @ dU
+    grads[b_1] += dU.sum(axis=0)
+    dH = d_out + dU @ p[W_1].T
+    grads[W_o] += cache["C"].T @ dH
+    dC = dH @ p[W_o].T
+    dA = dC @ cache["values"].T
+    d_values = A.T @ dC
+    dScores = A * (dA - (dA * A).sum(axis=1, keepdims=True))
+    scale = math.sqrt(cache["keys"].shape[1])
+    dQ = dScores @ cache["keys"] / scale
+    d_keys = dScores.T @ cache["Q"] / scale
+    grads[W_q] += cache["x"].T @ dQ
+    return dH + dQ @ p[W_q].T, d_keys, d_values
+
+
+def _encode(model: ToyModel, images: ImagePair, prior: float | None) -> dict:
     """Run extractor and encoder, keeping intermediates for backprop.
 
     The state also holds the decoder's keys ``Kd`` and values ``Vd``
@@ -218,41 +277,23 @@ def _encode(model: ToyModel, images: ImagePair,
     V = patches @ p["W_proj"]
     V1 = V if prior is None else infuse(V, prior)
     V2 = V1 + model.enc_pos
-    Q = V2 @ p["W_q"]
-    K = V2 @ p["W_k"]
-    Vv = V2 @ p["W_v"]
-    scores = Q @ K.T / math.sqrt(EMBED_DIM)
-    A = _softmax_rows(scores)
-    C = A @ Vv
-    H = V2 + C @ p["W_o"]
-    U = H @ p["W_f1"] + p["b_f1"]
-    F = np.tanh(U)
-    H2 = H + F @ p["W_f2"] + p["b_f2"]
+    H2, block = _block(model, _ENCODER_BLOCK, V2, V2 @ p["W_k"],
+                       V2 @ p["W_v"])
     L = H2 @ p["W_lat"]
     Ln = L if prior is None else infuse(L, prior)
     if not np.isfinite(Ln).all():
         raise InfusionError("encoder produced non-finite latents")
-    return {"patches": patches, "V2": V2, "Q": Q, "K": K, "Vv": Vv,
-            "A": A, "C": C, "H": H, "F": F, "H2": H2, "L": L, "Ln": Ln,
+    return {"patches": patches, "block": block, "L": L, "Ln": Ln,
             "Kd": Ln @ p["W_dk"], "Vd": Ln @ p["W_dv"]}
 
 
-def _decoder_step(model: ToyModel, Kd: np.ndarray, Vd: np.ndarray,
-                  token: int, position: int) -> dict[str, np.ndarray]:
+def _decode_position(model: ToyModel, state: dict, token: int,
+                     position: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One row of logits after ``token`` at ``position``; the block cache."""
     p = model.params
-    q = p["E"][token] + model.dec_pos[position]
-    r = q @ p["W_dq"]
-    s = Kd @ r / math.sqrt(LATENT_DIM)
-    a = _softmax_rows(s)
-    m = a @ Vd
-    c = m @ p["W_do"]
-    h = q + c
-    u = h @ p["W_g1"] + p["b_g1"]
-    g = np.tanh(u)
-    z = h + g @ p["W_g2"] + p["b_g2"]
-    logits = z @ p["W_out"]
-    return {"q": q, "r": r, "a": a, "m": m, "h": h, "g": g, "z": z,
-            "logits": logits}
+    x = (p["E"][token] + model.dec_pos[position])[None]
+    z, block = _block(model, _DECODER_BLOCK, x, state["Kd"], state["Vd"])
+    return z @ p["W_out"], block
 
 
 class ForwardResult(NamedTuple):
@@ -261,22 +302,6 @@ class ForwardResult(NamedTuple):
     tokens: list[int]
     latent: np.ndarray
     latent_infused: np.ndarray
-
-
-def _greedy_decode(model: ToyModel, state: dict[str, np.ndarray],
-                   max_len: int) -> list[int]:
-    tokens: list[int] = []
-    token = BOS_TOKEN
-    for position in range(max_len):
-        step = _decoder_step(model, state["Kd"], state["Vd"], token,
-                             position)
-        if not np.isfinite(step["logits"]).all():
-            raise InfusionError("decoder produced non-finite logits")
-        token = int(np.argmax(step["logits"]))
-        tokens.append(token)
-        if token == EOS_TOKEN:
-            break
-    return tokens
 
 
 def forward(model: ToyModel, images: ImagePair, prior: float | None,
@@ -292,26 +317,34 @@ def forward(model: ToyModel, images: ImagePair, prior: float | None,
         raise InfusionError(
             f"max_len must lie in 1..{MAX_LEN}, got {max_len!r}")
     state = _encode(model, images, prior)
-    tokens = _greedy_decode(model, state, max_len)
+    tokens: list[int] = []
+    token = BOS_TOKEN
+    for position in range(max_len):
+        logits, _ = _decode_position(model, state, token, position)
+        if not np.isfinite(logits).all():
+            raise InfusionError("decoder produced non-finite logits")
+        token = int(np.argmax(logits))
+        tokens.append(token)
+        if token == EOS_TOKEN:
+            break
     return ForwardResult(tokens=tokens, latent=state["L"],
                          latent_infused=state["Ln"])
 
 
 def _probe_forward(model: ToyModel, images: ImagePair, prior: float,
-                   ) -> tuple[float, dict[str, np.ndarray],
-                              list[dict[str, np.ndarray]]]:
+                   ) -> tuple[float, dict, list[dict[str, np.ndarray]]]:
     """Forward half of :func:`teacher_forced_loss`.
 
-    Returns (loss, encoder state, per-position decoder steps): the loss
-    plus everything the backward pass reads. Finite-difference probes
-    need the loss alone.
+    Returns (loss, encoder state, per-position decoder block caches): the
+    loss plus everything the backward pass reads. Finite-difference
+    probes need the loss alone.
     """
     # The probe loss has no baseline path: a prior of None is refused.
     state = _encode(model, images, _check_prior(prior))
-    steps = [_decoder_step(model, state["Kd"], state["Vd"], token, position)
+    steps = [_decode_position(model, state, token, position)
              for position, token in enumerate(PROBE)]
-    loss = math.fsum(float(step["logits"].sum()) for step in steps)
-    return loss, state, steps
+    loss = math.fsum(float(logits.sum()) for logits, _ in steps)
+    return loss, state, [block for _, block in steps]
 
 
 def teacher_forced_loss(model: ToyModel, images: ImagePair, prior: float,
@@ -325,75 +358,38 @@ def teacher_forced_loss(model: ToyModel, images: ImagePair, prior: float,
     """
     loss, state, steps = _probe_forward(model, images, prior)
     p = model.params
-    patches, Ln = state["patches"], state["Ln"]
-    Kd, Vd = state["Kd"], state["Vd"]
-
     grads = {name: np.zeros_like(array) for name, array in p.items()}
-    d_prior = 0.0
-    sqrt_f = math.sqrt(LATENT_DIM)
-    sqrt_d = math.sqrt(EMBED_DIM)
 
-    dKd = np.zeros_like(Kd)
-    dVd = np.zeros_like(Vd)
+    dKd = np.zeros_like(state["Kd"])
+    dVd = np.zeros_like(state["Vd"])
     dlogits = np.ones(VOCAB_SIZE)
-    for step, token in zip(steps, PROBE):
-        grads["W_out"] += np.outer(step["z"], dlogits)
-        dz = p["W_out"] @ dlogits
-        grads["b_g2"] += dz
-        grads["W_g2"] += np.outer(step["g"], dz)
-        dg = dz @ p["W_g2"].T
-        dh = dz.copy()
-        du = dg * (1.0 - step["g"] ** 2)
-        grads["W_g1"] += np.outer(step["h"], du)
-        grads["b_g1"] += du
-        dh += du @ p["W_g1"].T
-        dc = dh
-        dq = dh.copy()
-        grads["W_do"] += np.outer(step["m"], dc)
-        dm = dc @ p["W_do"].T
-        dVd += np.outer(step["a"], dm)
-        da = Vd @ dm
-        ds = step["a"] * (da - float(da @ step["a"]))
-        dKd += np.outer(ds, step["r"]) / sqrt_f
-        dr = Kd.T @ ds / sqrt_f
-        grads["W_dq"] += np.outer(step["q"], dr)
-        dq += dr @ p["W_dq"].T
-        grads["E"][token] += dq
+    dz = (p["W_out"] @ dlogits)[None]
+    for block, token in zip(steps, PROBE):
+        grads["W_out"] += block["out"].T @ dlogits[None]
+        dx, d_keys, d_values = _block_backward(model, _DECODER_BLOCK, block,
+                                               dz, grads)
+        dKd += d_keys
+        dVd += d_values
+        grads["E"][token] += dx[0]
 
+    Ln = state["Ln"]
     dLn = dKd @ p["W_dk"].T + dVd @ p["W_dv"].T
     grads["W_dk"] += Ln.T @ dKd
     grads["W_dv"] += Ln.T @ dVd
-    d_prior += float(dLn.sum())
+    d_prior = float(dLn.sum())
 
-    dH2 = dLn @ p["W_lat"].T
-    grads["W_lat"] += state["H2"].T @ dLn
-    dH = dH2.copy()
-    grads["W_f2"] += state["F"].T @ dH2
-    grads["b_f2"] += dH2.sum(axis=0)
-    dF = dH2 @ p["W_f2"].T
-    dU = dF * (1.0 - state["F"] ** 2)
-    grads["W_f1"] += state["H"].T @ dU
-    grads["b_f1"] += dU.sum(axis=0)
-    dH += dU @ p["W_f1"].T
-
-    dV2 = dH.copy()
-    dC = dH @ p["W_o"].T
-    grads["W_o"] += state["C"].T @ dH
-    dA = dC @ state["Vv"].T
-    dVv = state["A"].T @ dC
-    row_dot = (dA * state["A"]).sum(axis=1, keepdims=True)
-    dScores = state["A"] * (dA - row_dot)
-    dQ = dScores @ state["K"] / sqrt_d
-    dK = dScores.T @ state["Q"] / sqrt_d
-    grads["W_q"] += state["V2"].T @ dQ
-    dV2 += dQ @ p["W_q"].T
-    grads["W_k"] += state["V2"].T @ dK
+    block = state["block"]
+    grads["W_lat"] += block["out"].T @ dLn
+    dV2, dK, dVv = _block_backward(model, _ENCODER_BLOCK, block,
+                                   dLn @ p["W_lat"].T, grads)
+    V2 = block["x"]
+    grads["W_k"] += V2.T @ dK
     dV2 += dK @ p["W_k"].T
-    grads["W_v"] += state["V2"].T @ dVv
+    grads["W_v"] += V2.T @ dVv
     dV2 += dVv @ p["W_v"].T
 
     d_prior += float(dV2.sum())
-    grads["W_proj"] += patches.T @ dV2
+    grads["W_proj"] += state["patches"].T @ dV2
     return loss, grads, d_prior
 
 
@@ -421,8 +417,8 @@ def grad_check(model: ToyModel, images: ImagePair, prior: float,
     gradients take one backward pass; each finite-difference probe runs
     forward only.
     """
+    draw = _draws(sample_seed)
     _, grads, d_prior = teacher_forced_loss(model, images, prior)
-    draw = random.Random(sample_seed).random
     per_param: dict[str, float] = {}
 
     def loss_at(prior_value: float) -> float:

@@ -37,7 +37,7 @@ from .corpus import (CorpusError, CorpusRecord, Report, _sentence_ends,
                      extract_findings, tokenize)
 # Re-exported: bench/test_bench.py instruments labeler.make_report.
 from .corpus import make_report  # noqa: F401
-from .rules import KeywordEntry, RuleSet
+from .rules import KeywordEntry, RuleSet, default_rules
 
 __all__ = [
     "Verdict",
@@ -241,14 +241,15 @@ class Labeler:
         return PriorLabel(1, tuple(evidence)) if evidence else _NO_MENTIONS
 
 
-def label_corpus(records: list[CorpusRecord], rules: RuleSet,
+def label_corpus(records: list[CorpusRecord], rules: RuleSet | None = None,
                  text_source: str = DEFAULT_TEXT_FIELD
                  ) -> tuple[list[PriorLabel], LabelCounts]:
     """Label each record's ``text_source`` field (its text, reference or
-    candidate) by one fresh :class:`Labeler`; return the labels and counts."""
+    candidate) by one fresh :class:`Labeler` of ``rules``, by default the
+    bundled ones; return the labels and counts."""
     if text_source not in TEXT_FIELDS:
         raise ValueError(f"unknown text source {text_source!r}")
-    engine = Labeler(rules)
+    engine = Labeler(default_rules() if rules is None else rules)
     labels = []
     for record in records:
         value = getattr(record, text_source)

@@ -7,12 +7,15 @@ full size, seeds 5 and 11 at a reduced ``count``; ``infuse-demo`` reads
 none and runs the bench's seeds. Each corpus and rules file under
 ``fixtures/errors`` holds a data error, so its cases pin an exit code
 and a message; three hold two, to pin which comes first. The digests
-hold the Python version they were made under.
+hold the Python version they were made under, and numpy's (null where
+numpy could not be imported), which the ``infuse-demo`` arithmetic
+follows.
 
 This module imports no pytest; ``test_golden.py`` runs its cases as
 tests. Run every case against the digests under the running interpreter,
-whatever its version, listing each case that differs (the
-``infuse-demo`` cases are skipped where numpy cannot be imported):
+whatever its version, printing both Python and both numpy versions and
+listing each case that differs (the ``infuse-demo`` cases are skipped
+where numpy cannot be imported):
 
     PYTHONPATH=src python tests/golden_cases.py --check
 
@@ -112,6 +115,15 @@ CASES = sorted(f"{command} < {name}" if name else command
                for command, (_, names) in COMMANDS.items() for name in names)
 
 
+def _numpy_version() -> str | None:
+    """The importable numpy's version, or None where it cannot be imported."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy.__version__
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -169,7 +181,8 @@ def regenerate() -> None:
         inputs = make_inputs(root / "inputs")
         cases = {case: run_case(case, inputs, root / f"case{index}")
                  for index, case in enumerate(CASES)}
-    payload = {"python": platform.python_version(), "cases": cases}
+    payload = {"python": platform.python_version(),
+               "numpy": _numpy_version(), "cases": cases}
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
@@ -184,11 +197,10 @@ def check() -> int:
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
     print(f"digests made under Python {recorded['python']}, "
           f"running Python {platform.python_version()}")
-    try:
-        import numpy  # noqa: F401
-        skip = ()
-    except ImportError:
-        skip = ("infuse-demo",)
+    running_numpy = _numpy_version()
+    print(f"digests made under numpy {recorded['numpy']}, "
+          f"running numpy {running_numpy}")
+    skip = () if running_numpy else ("infuse-demo",)
     cases = [case for case in CASES if not case.startswith(skip)]
     stale = sorted(set(recorded["cases"]) - set(CASES))
     failed = []

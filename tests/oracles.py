@@ -13,6 +13,13 @@ literals.  ``reference_extract_mentions`` sorts each token's candidate
 keywords; ``reference_classify_one`` tries every negation template, then
 every prior template, in file order.
 
+``reference_flatten_patches``, ``reference_forward`` and
+``reference_teacher_forced_loss`` are the toy model as it ran before one
+attention block served its encoder and decoder: the patches cut by a
+nested slicing loop, the encoder in matrix form, each decoder position
+in vector form, and the backward pass written twice, as matrix products
+for the encoder and as per-position ``np.outer`` sums for the decoder.
+
 ``reference_grad_check`` is the finite-difference check as it ran when
 every probe called ``teacher_forced_loss``, backward pass included, and
 kept only the loss.  It draws each probe's flat index as ``grad_check``
@@ -29,13 +36,18 @@ exported while no scoring path called it; the cosine tests reach the
 scorer's cosine through it.
 """
 
+import math
 import random
 from itertools import repeat
 
 import numpy as np
 
 from radpriors.corpus import Report, extract_findings, tokenize
-from radpriors.infusion import GradCheckReport, _rel_error, teacher_forced_loss
+from radpriors.infusion import (BOS_TOKEN, EMBED_DIM, EOS_TOKEN, IMAGE_SIZE,
+                                LATENT_DIM, MAX_LEN, PATCH_SIZE, PROBE,
+                                VOCAB_SIZE, ForwardResult, GradCheckReport,
+                                _rel_error, _softmax_rows, infuse,
+                                teacher_forced_loss)
 from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
                                Verdict)
 from radpriors.metrics import _cosine
@@ -214,3 +226,148 @@ def reference_grad_check(model, images, prior, step=1e-4, sample_seed=0):
         prior_analytic=d_prior,
         prior_fd=prior_fd,
     )
+
+
+def reference_flatten_patches(images):
+    rows = []
+    for view in images:
+        view = np.asarray(view, dtype=float)
+        for i in range(0, IMAGE_SIZE, PATCH_SIZE):
+            for j in range(0, IMAGE_SIZE, PATCH_SIZE):
+                rows.append(view[i:i + PATCH_SIZE,
+                                 j:j + PATCH_SIZE].reshape(-1))
+    return np.stack(rows)
+
+
+def _reference_encode(model, images, prior):
+    patches = reference_flatten_patches(images)
+    p = model.params
+    V = patches @ p["W_proj"]
+    V1 = V if prior is None else infuse(V, prior)
+    V2 = V1 + model.enc_pos
+    Q = V2 @ p["W_q"]
+    K = V2 @ p["W_k"]
+    Vv = V2 @ p["W_v"]
+    scores = Q @ K.T / math.sqrt(EMBED_DIM)
+    A = _softmax_rows(scores)
+    C = A @ Vv
+    H = V2 + C @ p["W_o"]
+    U = H @ p["W_f1"] + p["b_f1"]
+    F = np.tanh(U)
+    H2 = H + F @ p["W_f2"] + p["b_f2"]
+    L = H2 @ p["W_lat"]
+    Ln = L if prior is None else infuse(L, prior)
+    return {"patches": patches, "V2": V2, "Q": Q, "K": K, "Vv": Vv,
+            "A": A, "C": C, "H": H, "F": F, "H2": H2, "L": L, "Ln": Ln,
+            "Kd": Ln @ p["W_dk"], "Vd": Ln @ p["W_dv"]}
+
+
+def _reference_decoder_step(model, Kd, Vd, token, position):
+    p = model.params
+    q = p["E"][token] + model.dec_pos[position]
+    r = q @ p["W_dq"]
+    s = Kd @ r / math.sqrt(LATENT_DIM)
+    a = _softmax_rows(s)
+    m = a @ Vd
+    c = m @ p["W_do"]
+    h = q + c
+    u = h @ p["W_g1"] + p["b_g1"]
+    g = np.tanh(u)
+    z = h + g @ p["W_g2"] + p["b_g2"]
+    logits = z @ p["W_out"]
+    return {"q": q, "r": r, "a": a, "m": m, "h": h, "g": g, "z": z,
+            "logits": logits}
+
+
+def reference_forward(model, images, prior, max_len=MAX_LEN):
+    state = _reference_encode(model, images, prior)
+    tokens = []
+    token = BOS_TOKEN
+    for position in range(max_len):
+        step = _reference_decoder_step(model, state["Kd"], state["Vd"],
+                                       token, position)
+        token = int(np.argmax(step["logits"]))
+        tokens.append(token)
+        if token == EOS_TOKEN:
+            break
+    return ForwardResult(tokens=tokens, latent=state["L"],
+                         latent_infused=state["Ln"])
+
+
+def reference_teacher_forced_loss(model, images, prior):
+    state = _reference_encode(model, images, prior)
+    steps = [_reference_decoder_step(model, state["Kd"], state["Vd"], token,
+                                     position)
+             for position, token in enumerate(PROBE)]
+    loss = math.fsum(float(step["logits"].sum()) for step in steps)
+    p = model.params
+    patches, Ln = state["patches"], state["Ln"]
+    Kd, Vd = state["Kd"], state["Vd"]
+
+    grads = {name: np.zeros_like(array) for name, array in p.items()}
+    d_prior = 0.0
+    sqrt_f = math.sqrt(LATENT_DIM)
+    sqrt_d = math.sqrt(EMBED_DIM)
+
+    dKd = np.zeros_like(Kd)
+    dVd = np.zeros_like(Vd)
+    dlogits = np.ones(VOCAB_SIZE)
+    for step, token in zip(steps, PROBE):
+        grads["W_out"] += np.outer(step["z"], dlogits)
+        dz = p["W_out"] @ dlogits
+        grads["b_g2"] += dz
+        grads["W_g2"] += np.outer(step["g"], dz)
+        dg = dz @ p["W_g2"].T
+        dh = dz.copy()
+        du = dg * (1.0 - step["g"] ** 2)
+        grads["W_g1"] += np.outer(step["h"], du)
+        grads["b_g1"] += du
+        dh += du @ p["W_g1"].T
+        dc = dh
+        dq = dh.copy()
+        grads["W_do"] += np.outer(step["m"], dc)
+        dm = dc @ p["W_do"].T
+        dVd += np.outer(step["a"], dm)
+        da = Vd @ dm
+        ds = step["a"] * (da - float(da @ step["a"]))
+        dKd += np.outer(ds, step["r"]) / sqrt_f
+        dr = Kd.T @ ds / sqrt_f
+        grads["W_dq"] += np.outer(step["q"], dr)
+        dq += dr @ p["W_dq"].T
+        grads["E"][token] += dq
+
+    dLn = dKd @ p["W_dk"].T + dVd @ p["W_dv"].T
+    grads["W_dk"] += Ln.T @ dKd
+    grads["W_dv"] += Ln.T @ dVd
+    d_prior += float(dLn.sum())
+
+    dH2 = dLn @ p["W_lat"].T
+    grads["W_lat"] += state["H2"].T @ dLn
+    dH = dH2.copy()
+    grads["W_f2"] += state["F"].T @ dH2
+    grads["b_f2"] += dH2.sum(axis=0)
+    dF = dH2 @ p["W_f2"].T
+    dU = dF * (1.0 - state["F"] ** 2)
+    grads["W_f1"] += state["H"].T @ dU
+    grads["b_f1"] += dU.sum(axis=0)
+    dH += dU @ p["W_f1"].T
+
+    dV2 = dH.copy()
+    dC = dH @ p["W_o"].T
+    grads["W_o"] += state["C"].T @ dH
+    dA = dC @ state["Vv"].T
+    dVv = state["A"].T @ dC
+    row_dot = (dA * state["A"]).sum(axis=1, keepdims=True)
+    dScores = state["A"] * (dA - row_dot)
+    dQ = dScores @ state["K"] / sqrt_d
+    dK = dScores.T @ state["Q"] / sqrt_d
+    grads["W_q"] += state["V2"].T @ dQ
+    dV2 += dQ @ p["W_q"].T
+    grads["W_k"] += state["V2"].T @ dK
+    dV2 += dK @ p["W_k"].T
+    grads["W_v"] += state["V2"].T @ dVv
+    dV2 += dVv @ p["W_v"].T
+
+    d_prior += float(dV2.sum())
+    grads["W_proj"] += patches.T @ dV2
+    return loss, grads, d_prior

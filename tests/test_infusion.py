@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import reference_grad_check
+from oracles import (reference_flatten_patches, reference_forward,
+                     reference_grad_check, reference_teacher_forced_loss)
 from radpriors import infusion
 from radpriors.infusion import (EMBED_DIM, IMAGE_SIZE, LATENT_DIM, MAX_LEN,
                                 NUM_PATCHES, PROBE, VOCAB_SIZE, ImagePair,
@@ -51,6 +52,17 @@ class TestVisualExtract:
         bad = ImagePair(frontal=np.zeros((4, 4)), lateral=np.zeros((4, 4)))
         with pytest.raises(InfusionError, match=r"\(4, 4\)"):
             visual_extract(bad, model)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_patch_order_equals_the_slicing_loop(self, model, seed):
+        rng = np.random.default_rng(seed)
+        # The lateral view is a transposed view, so its strides differ.
+        images = ImagePair(
+            frontal=rng.standard_normal((IMAGE_SIZE, IMAGE_SIZE)),
+            lateral=rng.standard_normal((IMAGE_SIZE, IMAGE_SIZE)).T)
+        expected = reference_flatten_patches(images) @ model.params["W_proj"]
+        assert visual_extract(images, model).tobytes() == expected.tobytes()
 
     def test_non_finite_image_rejected(self, model):
         grid = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
@@ -195,6 +207,34 @@ class TestGradients:
         for field in report._fields:
             assert getattr(report, field) == getattr(expected, field), field
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), prior=st.floats(-3.0, 3.0))
+    @example(seed=17, prior=1.0)
+    @example(seed=3, prior=0.0)
+    def test_block_equals_the_reference(self, seed, prior):
+        """Forward and loss are bit-equal to the two-copy reference; each
+        gradient array is within 1e-12 of it, relative to its largest
+        entry, because the decoder's softmax row dot sums in another
+        order."""
+        model = ToyModel(seed)
+        images = demo_image_pair(seed)
+        for value in (prior, None):
+            got = forward(model, images, value)
+            want = reference_forward(model, images, value)
+            assert got.tokens == want.tokens
+            assert got.latent.tobytes() == want.latent.tobytes()
+            assert got.latent_infused.tobytes() == \
+                want.latent_infused.tobytes()
+        loss, grads, d_prior = teacher_forced_loss(model, images, prior)
+        want_loss, want_grads, want_d_prior = reference_teacher_forced_loss(
+            model, images, prior)
+        assert loss == want_loss
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            gap = np.abs(grads[name] - want).max()
+            assert gap <= 1e-12 * np.abs(want).max(), name
+        assert abs(d_prior - want_d_prior) <= 1e-12 * abs(want_d_prior)
+
     def test_grad_check_runs_one_backward_pass(self, model, images,
                                                monkeypatch):
         calls = []
@@ -249,6 +289,18 @@ class TestSeededDraws:
             expected = [value * 0.1 if fan_in is None
                         else value / math.sqrt(fan_in) for value in drawn]
             assert array.tobytes() == np.array(expected).tobytes(), name
+
+    @pytest.mark.parametrize("entry", [
+        ToyModel, demo_image_pair,
+        lambda seed: grad_check(ToyModel(), demo_image_pair(17), 1.0,
+                                sample_seed=seed)],
+        ids=["ToyModel", "demo_image_pair", "grad_check"])
+    @pytest.mark.parametrize("seed", [-1, -3, -2**40])
+    def test_negative_seed_is_refused(self, entry, seed):
+        # Random(seed) seeds with abs(seed), so -k would repeat k's draws.
+        with pytest.raises(InfusionError,
+                           match=rf"seed must be 0 or more, got {seed}$"):
+            entry(seed)
 
     def test_probe_indices_are_int_u_times_size(self, images, monkeypatch):
         model = ToyModel()

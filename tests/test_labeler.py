@@ -190,6 +190,13 @@ class TestLabelCorpus:
         assert disagreements == []
         assert counts.total == 50
 
+    @pytest.mark.parametrize("name, source", [("synthetic50.jsonl", "text"),
+                                              ("pipeline6.jsonl", "candidate")])
+    def test_no_rules_means_the_bundled_rules(self, name, source):
+        records = load_corpus(FIXTURES / name)
+        assert label_corpus(records, text_source=source) == \
+            label_corpus(records, default_rules(), text_source=source)
+
     def test_label_on_candidate(self, rules):
         records = load_corpus(FIXTURES / "pipeline3.jsonl")
         labels, _ = label_corpus(records, rules, text_source="candidate")
