@@ -1,5 +1,8 @@
 """Pieces every command loads: name tables, data errors, lines, files.
 
+This module spells every output file (:func:`indented_json`,
+:func:`csv_text`) and writes it (:func:`atomic_write_text`).
+
 Three tables name what the other modules share: ``TEXT_FIELDS``, the
 corpus fields that hold report text; ``CORPUS_FORMATS``, the corpus file
 formats; and ``METRIC_NAMES``, the metrics as every output names them.
@@ -11,10 +14,11 @@ parser, and no command may load a module it does not run.
 
 from __future__ import annotations
 
+import csv
 import errno
+import io
 import json
 import os
-import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -80,6 +84,14 @@ def indented_json(obj: object) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def csv_text(rows: Iterable[Iterable[object]]) -> str:
+    """``rows`` as every CSV output file holds them: lines end with
+    ``\\n``, a float is written as its ``repr`` and None as an empty cell."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def check_target(path: str | Path) -> None:
     """Raise the error ``open(path, "w")`` meets if ``path`` is empty, is
     a directory or ends in a separator, or its parent is missing or not a
@@ -108,19 +120,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     less the umask.
     """
     target = Path(path)
-    umask = os.umask(0)
-    os.umask(umask)
+    temp = target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp"
     try:
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=target.parent,
-            prefix=f".{target.name}.", suffix=".tmp", delete=False)
+        handle = open(temp, "x", encoding="utf-8")
         try:
             with handle:
                 handle.write(text)
-            os.chmod(handle.name, 0o666 & ~umask)
-            os.replace(handle.name, path)
+            os.replace(temp, path)
         except BaseException:
-            os.unlink(handle.name)
+            os.unlink(temp)
             raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc

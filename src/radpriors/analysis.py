@@ -12,13 +12,12 @@ so identical inputs give bitwise-identical summaries run to run.
 from __future__ import annotations
 
 import bisect
-import csv
-import io
 import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from ._io import DEFAULT_BINS, DEFAULT_METRIC, METRIC_NAMES, indented_json
+from ._io import (DEFAULT_BINS, DEFAULT_METRIC, METRIC_NAMES, csv_text,
+                  indented_json)
 from .corpus import CorpusRecord
 from .labeler import LabelCounts, PriorLabel, label_corpus
 from .metrics import CIDER_SCALE, MetricReport, _metric_values, evaluate_corpus
@@ -187,20 +186,18 @@ def emit_plot_data(summary: StratifiedSummary,
                    csv_path: str | Path) -> dict[str | Path, str]:
     """Histogram bins as CSV and the stats block as JSON; writes nothing.
 
-    Returns ``{csv_path: csv_text, plot_stats_path(csv_path): json_text}``.
-    Absent strata are omitted from the CSV and null in the JSON. Floats
-    use their shortest exact decimal form.
+    Returns ``{csv_path: csv_text, plot_stats_path(csv_path): json_text}``,
+    spelled by :func:`radpriors._io.csv_text` and
+    :func:`radpriors._io.indented_json` as every output file is. Absent
+    strata are omitted from the CSV and null in the JSON. Floats use
+    their shortest exact decimal form.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["label", "bin_start", "bin_end", "count"])
+    rows = [["label", "bin_start", "bin_end", "count"]]
     for label_value, stratum in ((0, summary.negative),
                                  (1, summary.positive)):
-        if stratum is None:
-            continue
-        edges = stratum.histogram.bin_edges
-        for i, count in enumerate(stratum.histogram.counts):
-            writer.writerow([label_value, repr(edges[i]),
-                             repr(edges[i + 1]), count])
-    return {csv_path: buffer.getvalue(),
+        if stratum is not None:
+            edges = stratum.histogram.bin_edges
+            rows += [[label_value, edges[i], edges[i + 1], count]
+                     for i, count in enumerate(stratum.histogram.counts)]
+    return {csv_path: csv_text(rows),
             plot_stats_path(csv_path): indented_json(summary.to_dict())}

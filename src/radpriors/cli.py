@@ -9,10 +9,9 @@ prints. A failed run leaves no file half-written and prints nothing; only
 a write error after those checks (a full disk, a race) leaves files.
 
 This module parses, dispatches and serializes. :mod:`radpriors.analysis`
-computes what ``analyze`` reports; its ``pipeline_label_then_eval`` and
-``PipelineResult`` are served from here on first access (PEP 562).
-Each command imports the modules it runs when it runs, so ``infuse-demo``
-loads no corpus code and ``label`` and ``eval`` load no numpy.
+computes what ``analyze`` reports. Each command imports the modules it
+runs when it runs, so ``infuse-demo`` loads no corpus code and ``label``
+and ``eval`` load no numpy.
 
 :func:`main`, the ``radpriors`` command and ``python -m radpriors.cli``,
 ends the process with ``os._exit`` once standard output and standard
@@ -28,8 +27,6 @@ reports a failed write, and exits 2.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -40,14 +37,15 @@ from typing import TYPE_CHECKING
 from . import __version__
 from ._io import (CORPUS_FORMATS, DEFAULT_BINS, DEFAULT_FORMAT, DEFAULT_METRIC,
                   DEFAULT_SEED, DEFAULT_TEXT_FIELD, METRIC_NAMES, TEXT_FIELDS,
-                  DataError, atomic_write_text, check_target, indented_json)
+                  DataError, atomic_write_text, check_target, csv_text,
+                  indented_json)
 
 if TYPE_CHECKING:
     from .corpus import CorpusRecord
     from .labeler import PriorLabel
     from .metrics import MetricReport
 
-__all__ = ["main", "run", "pipeline_label_then_eval", "PipelineResult"]
+__all__ = ["main", "run"]
 
 # Options that name a file, with their argparse destinations.  None may be
 # empty, and no two of one invocation may resolve to the same file.
@@ -55,13 +53,6 @@ _FILE_OPTIONS = (("--in", "infile"), ("--out", "out"), ("--rules", "rules"),
                  ("--summary", "summary"), ("--csv", "csv"),
                  ("--plot-data", "plot_data"),
                  ("--emit-latents", "emit_latents"))
-
-
-def __getattr__(name: str):
-    if name in ("pipeline_label_then_eval", "PipelineResult"):
-        from . import analysis
-        return getattr(analysis, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _label_jsonl(records: list[CorpusRecord],
@@ -104,13 +95,9 @@ def _cmd_label(args: argparse.Namespace) -> tuple[dict, str]:
 
 def _per_report_csv(metrics: MetricReport) -> str:
     from .metrics import _metric_values
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["id", *METRIC_NAMES, "label"])
-    for row in metrics.per_report:
-        writer.writerow([row.id, *map(repr, _metric_values(row).values()),
-                         row.label])
-    return buffer.getvalue()
+    return csv_text([["id", *METRIC_NAMES, "label"]] + [
+        [row.id, *_metric_values(row).values(), row.label]
+        for row in metrics.per_report])
 
 
 def _cmd_eval(args: argparse.Namespace) -> tuple[dict, str]:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import cosine
-from radpriors.cli import pipeline_label_then_eval
+from radpriors.analysis import pipeline_label_then_eval
 from radpriors.corpus import load_corpus, make_report, tokenize
 from radpriors.infusion import (
     ToyModel,

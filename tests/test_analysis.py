@@ -183,6 +183,7 @@ class TestEmitPlotData:
     def test_single_stratum_has_twenty_rows(self):
         summary = stratify(rows_from({0: [0.1, 0.2, 0.9]}))
         csv_text, json_text = emit_plot_data(summary, "plot.csv").values()
+        assert "\r" not in csv_text and csv_text.endswith("\n")
         lines = csv_text.splitlines()
         assert lines[0] == "label,bin_start,bin_end,count"
         assert len(lines) == 1 + 20

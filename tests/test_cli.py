@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 import radpriors
 from radpriors import rules
 from radpriors._io import DataError
-from radpriors.cli import _label_jsonl, pipeline_label_then_eval, run
+from radpriors.analysis import pipeline_label_then_eval
+from radpriors.cli import _label_jsonl, run
 from radpriors.corpus import CorpusError, CorpusRecord, load_corpus
 from radpriors.infusion import InfusionError
 from radpriors.labeler import (ClassifiedMention, Mention, PriorLabel,
@@ -510,16 +511,6 @@ class TestImports:
         assert _loaded_after("import radpriors.cli") == \
             {"radpriors", "radpriors._io", "radpriors.cli"}
 
-    @pytest.mark.parametrize("name", ["pipeline_label_then_eval",
-                                      "PipelineResult"])
-    def test_pipeline_names_are_served_from_analysis(self, name):
-        import radpriors.analysis
-        import radpriors.cli
-        assert getattr(radpriors.cli, name) is \
-            getattr(radpriors.analysis, name)
-        with pytest.raises(AttributeError):
-            radpriors.cli.StratifiedSummary
-
     @pytest.mark.parametrize("argv, modules", [
         (["label", "--in", FIXTURES / "golden4.jsonl", "--out", "OUT/l.jsonl"],
          {"corpus", "labeler", "rules"}),
@@ -612,8 +603,9 @@ class TestEvalCommand:
         for row, want in zip(rows, per_report):
             assert None not in row
             assert float(row["rouge_l"]) == want["rouge_l"]
-        assert csv_out.read_text(encoding="utf-8").splitlines()[3] \
-            .startswith("plain,")
+        raw = csv_out.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        assert raw.decode("utf-8").splitlines()[3].startswith("plain,")
         capsys.readouterr()
 
     def test_gold_labels_flag(self, tmp_path, capsys):

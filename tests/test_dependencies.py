@@ -24,10 +24,13 @@ def imported_modules(path):
             yield node.module.partition(".")[0]
 
 
-def test_no_module_imports_dataclasses():
-    # dataclasses imports inspect, ast and dis: 12-15 ms of each start-up.
+# Each costs every start-up that has not loaded it: dataclasses imports
+# inspect, ast and dis (12-15 ms), and tempfile imports random and shutil
+# (4-5 ms) to name one file.
+@pytest.mark.parametrize("module", ["dataclasses", "tempfile"])
+def test_no_module_imports(module):
     importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
-                 if "dataclasses" in imported_modules(path)]
+                 if module in imported_modules(path)]
     assert importers == []
 
 
@@ -78,8 +81,9 @@ def _mode_argument(call, index):
 
 
 class _WriteSites(ast.NodeVisitor):
-    """Calls of ``atomic_write_text`` and calls that open a file for
-    writing, each with the qualified name of the function around it."""
+    """Calls of ``atomic_write_text``, of ``csv.writer`` and calls that
+    open a file for writing, each with the qualified name of the function
+    around it."""
 
     MAKERS = {"write_text", "write_bytes", "NamedTemporaryFile",
               "TemporaryFile", "SpooledTemporaryFile", "mkstemp", "fdopen"}
@@ -87,6 +91,7 @@ class _WriteSites(ast.NodeVisitor):
     def __init__(self):
         self.scope = []
         self.writes = []
+        self.csv_writers = []
         self.opens = []
 
     def visit_FunctionDef(self, node):
@@ -102,6 +107,8 @@ class _WriteSites(ast.NodeVisitor):
         where = ".".join(self.scope)
         if name == "atomic_write_text":
             self.writes.append(where)
+        elif name == "writer":
+            self.csv_writers.append(where)
         elif name == "open":
             is_os_open = getattr(getattr(func, "value", None), "id", "") == "os"
             mode = _mode_argument(node, 1 if isinstance(func, ast.Name) else 0)
@@ -135,6 +142,13 @@ def test_only_io_opens_files_for_writing():
     opens = {module: sites.opens for module, sites in write_sites().items()
              if sites.opens}
     assert list(opens) == ["_io"]
+
+
+def test_only_io_calls_csv_writer():
+    # Every CSV output file is spelled by _io.csv_text, in one dialect.
+    callers = [module for module, sites in write_sites().items()
+               if sites.csv_writers]
+    assert callers == ["_io"]
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")

@@ -1,6 +1,7 @@
 """The one reader of input lines, the location of a data error, and the
-one writer of output files."""
+one speller and writer of output files."""
 
+import csv
 import io
 import os
 import stat
@@ -8,7 +9,7 @@ import stat
 import pytest
 
 from radpriors._io import (DataError, atomic_write_text, check_target,
-                           split_cr, utf8_lines)
+                           csv_text, split_cr, utf8_lines)
 from radpriors.corpus import CorpusError
 from radpriors.metrics import EvaluationError
 from radpriors.rules import RuleFileError
@@ -92,11 +93,21 @@ class TestAtomicWriteText:
         atomic_write_text(tmp_path / "atomic.txt", "x")
         with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
             pass
-        # The umask is read, and left as it was.
+        # The umask is left as it was.
         assert os.umask(mask) == mask
         modes = {path.name: stat.S_IMODE(path.stat().st_mode)
                  for path in tmp_path.iterdir()}
         assert modes == {"atomic.txt": mode, "plain.txt": mode}
+
+    def test_the_umask_is_never_touched(self, tmp_path, monkeypatch):
+        # Setting the umask to read it would change the mode of any file
+        # another thread creates meanwhile.
+        def umask(mask):
+            raise AssertionError("os.umask called")
+        monkeypatch.setattr(os, "umask", umask)
+        atomic_write_text(tmp_path / "atomic.txt", "x\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["atomic.txt"]
+        assert (tmp_path / "atomic.txt").read_text(encoding="utf-8") == "x\n"
 
     def test_unwritable_path_is_an_error_naming_it_as_given(self, tmp_path,
                                                             monkeypatch):
@@ -131,6 +142,19 @@ class TestAtomicWriteText:
         assert err.value.filename == path
         assert [p.name for p in tmp_path.iterdir()] == ["f"]
         assert (tmp_path / "f").read_text(encoding="utf-8") == "kept"
+
+
+class TestCsvText:
+    def test_cells_read_back_through_the_csv_module(self):
+        awkward = 'a,b "q"\r\nc\u00e9\u2028'
+        score = 0.1 + 0.2
+        text = csv_text([["id", "score", "label"], [awkward, score, None]])
+        assert text.startswith("id,score,label\n") and text.endswith(",\n")
+        header, row = csv.reader(io.StringIO(text, newline=""))
+        assert header == ["id", "score", "label"]
+        assert row[0] == awkward
+        assert float(row[1]) == score and row[1] == repr(score)
+        assert row[2] == ""
 
 
 class TestCheckTarget:

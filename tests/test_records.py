@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from radpriors.analysis import Histogram, StratifiedSummary, StratumStats
-from radpriors.cli import PipelineResult, pipeline_label_then_eval
+from radpriors.analysis import (Histogram, PipelineResult, StratifiedSummary,
+                                StratumStats, pipeline_label_then_eval)
 from radpriors.corpus import CorpusRecord, Report, load_corpus
 from radpriors.infusion import ForwardResult, GradCheckReport, ImagePair
 from radpriors.labeler import (ClassifiedMention, LabelCounts, Labeler,
