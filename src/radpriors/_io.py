@@ -1,7 +1,7 @@
 """Pieces every command loads: name tables, data errors, lines, files.
 
 This module spells every output file (:func:`indented_json`,
-:func:`csv_text`) and writes it (:func:`atomic_write_text`).
+:func:`csv_text`) and writes them all or none (:func:`write_files`).
 
 Three tables name what the other modules share: ``TEXT_FIELDS``, the
 corpus fields that hold report text; ``CORPUS_FORMATS``, the corpus file
@@ -92,43 +92,39 @@ def csv_text(rows: Iterable[Iterable[object]]) -> str:
     return buffer.getvalue()
 
 
-def check_target(path: str | Path) -> None:
-    """Raise the error ``open(path, "w")`` meets if ``path`` is empty, is
-    a directory or ends in a separator, or its parent is missing or not a
-    directory. :func:`atomic_write_text` meets the same errors, but
-    refuses a trailing separator as not a directory."""
-    name = os.fspath(path)
-    try:
-        # The parent as ``open`` finds it: "d/." is in "d", and "" has none.
-        # A trailing separator makes a parent that is a file an error.
-        parent = os.path.dirname(name.rstrip(os.sep)) or os.curdir
-        os.stat(os.path.join(parent, "") if name else name)
-        if name.endswith(os.sep) or os.path.isdir(name):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, name) from exc
+def write_files(files: dict[str | Path, str]) -> None:
+    """Write each text to its path, all or none.
 
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a sibling temp file and rename.
-
-    A failed write leaves neither part of a file at ``path`` nor the
-    temp file, and its ``OSError`` names ``path`` as given. The rename
-    replaces ``path`` itself, so a symbolic link there becomes a regular
-    file and its target is left unchanged; a ``path`` that ends in a
-    separator is refused. The file's mode is a plain ``open``'s: 0o666
-    less the umask.
+    Each text goes first to a temp file where ``open(path, "w")`` would
+    create the file, so a path ``open`` refuses fails as it fails; a path
+    that ends in a separator or is a directory is then refused as one.
+    Only once all are written is each temp file renamed onto its path, in
+    order. A failure leaves no temp file, and no path changed unless a
+    rename failed; its ``OSError`` names the path as given. A symbolic
+    link at a path becomes a regular file, its target unchanged, and each
+    file gets a plain ``open``'s mode: 0o666 less the umask.
     """
-    target = Path(path)
-    temp = target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp"
+    temps: list[tuple[str, str]] = []  # (temp, path) not yet renamed
     try:
-        handle = open(temp, "x", encoding="utf-8")
-        try:
-            with handle:
+        for path, text in files.items():
+            name = os.fspath(path)
+            # The parent as ``open`` finds it: "d/." is in "d".
+            parent, base = os.path.split(name.rstrip(os.sep))
+            temp = os.path.join(parent or os.curdir,
+                                f".{base}.{os.urandom(8).hex()}.tmp")
+            with open(temp, "x", encoding="utf-8") as handle:
+                temps.append((temp, name))
+                if name.endswith(os.sep) or os.path.isdir(name):
+                    raise IsADirectoryError(errno.EISDIR,
+                                            os.strerror(errno.EISDIR))
                 handle.write(text)
-            os.replace(temp, path)
-        except BaseException:
+        while temps:
+            temp, name = temps[0]
+            os.replace(temp, name)
+            del temps[0]
+    except BaseException as exc:
+        for temp, _ in temps:
             os.unlink(temp)
-            raise
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, name) from exc
+        raise

@@ -3,10 +3,9 @@
 Exit codes: 0 on success, 1 for usage errors, 2 for data errors (the
 message names the offending record id or line). Each command returns
 its output files' texts, in write order, and its standard output;
-:func:`run` alone checks that no target is a directory or in a missing
-one, writes each file to a temporary file renamed into place, then
-prints. A failed run leaves no file half-written and prints nothing; only
-a write error after those checks (a full disk, a race) leaves files.
+:func:`run` alone writes them, all or none, then prints. A failed run
+leaves no output file and prints nothing; only a failed rename (a race)
+leaves the files renamed before it.
 
 This module parses, dispatches and serializes. :mod:`radpriors.analysis`
 computes what ``analyze`` reports. Each command imports the modules it
@@ -37,8 +36,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from ._io import (CORPUS_FORMATS, DEFAULT_BINS, DEFAULT_FORMAT, DEFAULT_METRIC,
                   DEFAULT_SEED, DEFAULT_TEXT_FIELD, METRIC_NAMES, TEXT_FIELDS,
-                  DataError, atomic_write_text, check_target, csv_text,
-                  indented_json)
+                  DataError, csv_text, indented_json, write_files)
 
 if TYPE_CHECKING:
     from .corpus import CorpusRecord
@@ -141,7 +139,10 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_infuse_demo(args: argparse.Namespace) -> tuple[dict, str]:
-    from .infusion import ToyModel, demo_image_pair, forward, grad_check
+    try:
+        from .infusion import ToyModel, demo_image_pair, forward, grad_check
+    except ImportError as exc:
+        raise DataError(f"infuse-demo needs numpy: {exc}") from exc
 
     model = ToyModel(args.seed)
     images = demo_image_pair(args.seed)
@@ -297,10 +298,7 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         files, printed = args.func(args)
-        for path in files:
-            check_target(path)
-        for path, text in files.items():
-            atomic_write_text(path, text)
+        write_files(files)
         print(printed)
     except (DataError, OSError) as exc:
         with suppress(OSError):

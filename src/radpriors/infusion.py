@@ -66,6 +66,8 @@ HIDDEN_DIM = 32
 VOCAB_SIZE = 32
 MAX_LEN = 12
 PROBE = (2, 3, 4, 5, 6, 7)  # teacher-forced tokens of the probe loss
+GRAD_CHECK_STEP = 1e-4  # finite-difference step of grad_check
+GRAD_CHECK_SEED = 0     # seed of grad_check's probe indices
 
 
 class InfusionError(DataError):
@@ -407,17 +409,18 @@ def _rel_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / denom
 
 
-def grad_check(model: ToyModel, images: ImagePair, prior: float,
-               step: float = 1e-4, sample_seed: int = 0) -> GradCheckReport:
+def grad_check(model: ToyModel, images: ImagePair,
+               prior: float) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     One entry of every parameter array is sampled along with d loss /
     d prior: the flat index ``int(u * array.size)`` for the next ``u`` of
-    ``Random(sample_seed)``, so the choice is reproducible. The analytic
-    gradients take one backward pass; each finite-difference probe runs
-    forward only.
+    ``Random(GRAD_CHECK_SEED)``, so the choice is reproducible. The
+    analytic gradients take one backward pass; each finite-difference
+    probe, a step of ``GRAD_CHECK_STEP``, runs forward only.
     """
-    draw = _draws(sample_seed)
+    step = GRAD_CHECK_STEP
+    draw = _draws(GRAD_CHECK_SEED)
     _, grads, d_prior = teacher_forced_loss(model, images, prior)
     per_param: dict[str, float] = {}
 

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, output determinism."""
 
 import csv
+import errno
 import importlib
 import inspect
 import json
@@ -327,8 +328,8 @@ class TestExitCodes:
 
     def test_an_unwritable_later_file_exits_2_and_prints_nothing(
             self, tmp_path, monkeypatch, capsys):
-        # Every target is checked before the first write, so the earlier
-        # e.json is not left behind.
+        # No file is renamed into place until every one is written, so
+        # the earlier e.json is not left behind.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d").mkdir()
         assert run(["eval", "--in", str(FIXTURES / "eval3.jsonl"),
@@ -346,6 +347,35 @@ class TestExitCodes:
             "", "error: [Errno 2] No such file or directory: "
                 "'missing/s.json'\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_later_write_leaves_no_earlier_file(
+            self, tmp_path, monkeypatch, capsys):
+        # A full disk is met only by writing, never by a check beforehand.
+        opened = []
+
+        def open_until_the_disk_is_full(*args, **kwargs):
+            opened.append(args[0])
+            if len(opened) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return open(*args, **kwargs)
+        monkeypatch.setattr(radpriors._io, "open",
+                            open_until_the_disk_is_full, raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert run(["analyze", "--in", str(FIXTURES / "pipeline6.jsonl"),
+                    "--out", "a.json", "--csv", "a.csv"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: [Errno 28] No space left on device: 'a.csv'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infuse_demo_without_numpy_is_a_data_error(
+            self, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.delitem(sys.modules, "radpriors.infusion")
+        assert run(["infuse-demo"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: infuse-demo needs numpy: ")
+        assert err.count("\n") == 1
 
 
 class TestOutputPaths:

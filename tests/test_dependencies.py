@@ -81,18 +81,20 @@ def _mode_argument(call, index):
 
 
 class _WriteSites(ast.NodeVisitor):
-    """Calls of ``atomic_write_text``, of ``csv.writer`` and calls that
-    open a file for writing, each with the qualified name of the function
-    around it."""
+    """Calls of ``write_files``, of ``csv.writer``, of the ``os``
+    functions that rename or remove a file and calls that open a file for
+    writing, each with the qualified name of the function around it."""
 
     MAKERS = {"write_text", "write_bytes", "NamedTemporaryFile",
               "TemporaryFile", "SpooledTemporaryFile", "mkstemp", "fdopen"}
+    OS_MOVERS = {"replace", "rename", "unlink", "remove"}
 
     def __init__(self):
         self.scope = []
         self.writes = []
         self.csv_writers = []
         self.opens = []
+        self.moves = []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -105,14 +107,16 @@ class _WriteSites(ast.NodeVisitor):
         func = node.func
         name = getattr(func, "id", None) or getattr(func, "attr", None)
         where = ".".join(self.scope)
-        if name == "atomic_write_text":
+        is_os = getattr(getattr(func, "value", None), "id", "") == "os"
+        if name == "write_files":
             self.writes.append(where)
         elif name == "writer":
             self.csv_writers.append(where)
+        elif is_os and name in self.OS_MOVERS:
+            self.moves.append(where)
         elif name == "open":
-            is_os_open = getattr(getattr(func, "value", None), "id", "") == "os"
             mode = _mode_argument(node, 1 if isinstance(func, ast.Name) else 0)
-            if is_os_open or not isinstance(mode, str) \
+            if is_os or not isinstance(mode, str) \
                     or set(mode) & set("wax+"):
                 self.opens.append(f"{where}:{node.lineno}")
         elif name in self.MAKERS:
@@ -132,16 +136,25 @@ def write_sites():
 
 
 def test_only_cli_run_writes_output_files():
-    # Commands return their files' texts; run writes them, then prints.
-    writes = {(module, where) for module, sites in write_sites().items()
-              for where in sites.writes}
-    assert writes == {("cli", "run")}
+    # Commands return their files' texts; run writes them once, then
+    # prints.
+    writes = [(module, where) for module, sites in write_sites().items()
+              for where in sites.writes]
+    assert writes == [("cli", "run")]
 
 
 def test_only_io_opens_files_for_writing():
-    opens = {module: sites.opens for module, sites in write_sites().items()
-             if sites.opens}
-    assert list(opens) == ["_io"]
+    opens = {(module, site.partition(":")[0])
+             for module, sites in write_sites().items()
+             for site in sites.opens}
+    assert opens == {("_io", "write_files")}
+
+
+def test_only_io_write_files_renames_or_removes_files():
+    # The temp files are renamed into place, or removed, in one place.
+    moves = {(module, where) for module, sites in write_sites().items()
+             for where in sites.moves}
+    assert moves == {("_io", "write_files")}
 
 
 def test_only_io_calls_csv_writer():

@@ -2,14 +2,15 @@
 one speller and writer of output files."""
 
 import csv
+import errno
 import io
 import os
 import stat
 
 import pytest
 
-from radpriors._io import (DataError, atomic_write_text, check_target,
-                           csv_text, split_cr, utf8_lines)
+from radpriors._io import (DataError, csv_text, split_cr, utf8_lines,
+                           write_files)
 from radpriors.corpus import CorpusError
 from radpriors.metrics import EvaluationError
 from radpriors.rules import RuleFileError
@@ -84,20 +85,28 @@ def restore_umask():
     os.umask(saved)
 
 
-class TestAtomicWriteText:
+# Every path open refuses, with "d" a directory and "f" a file. pathlib
+# drops a trailing separator and a last "." part, so its parent is not
+# open's.
+REFUSED = ["d", "missing/x.json", "f/x.json", "f/x/y.json", "d/../f/x.json",
+           "new/", "f/", "d/", "missing/x/", "f/x/", "missing/.",
+           "missing/..", "f/.", "d/.", "d/..", ""]
+
+
+class TestWriteFiles:
     @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask-022", "umask-077"])
     def test_mode_is_that_of_a_plain_open(self, tmp_path, restore_umask,
                                           mask, mode):
         os.umask(mask)
-        atomic_write_text(tmp_path / "atomic.txt", "x")
+        write_files({tmp_path / "written.txt": "x"})
         with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
             pass
         # The umask is left as it was.
         assert os.umask(mask) == mask
         modes = {path.name: stat.S_IMODE(path.stat().st_mode)
                  for path in tmp_path.iterdir()}
-        assert modes == {"atomic.txt": mode, "plain.txt": mode}
+        assert modes == {"written.txt": mode, "plain.txt": mode}
 
     def test_the_umask_is_never_touched(self, tmp_path, monkeypatch):
         # Setting the umask to read it would change the mode of any file
@@ -105,9 +114,9 @@ class TestAtomicWriteText:
         def umask(mask):
             raise AssertionError("os.umask called")
         monkeypatch.setattr(os, "umask", umask)
-        atomic_write_text(tmp_path / "atomic.txt", "x\n")
-        assert [path.name for path in tmp_path.iterdir()] == ["atomic.txt"]
-        assert (tmp_path / "atomic.txt").read_text(encoding="utf-8") == "x\n"
+        write_files({tmp_path / "a.txt": "a\n", tmp_path / "b.txt": "b\n"})
+        assert sorted(path.read_text(encoding="utf-8")
+                      for path in tmp_path.iterdir()) == ["a\n", "b\n"]
 
     def test_unwritable_path_is_an_error_naming_it_as_given(self, tmp_path,
                                                             monkeypatch):
@@ -115,7 +124,7 @@ class TestAtomicWriteText:
         messages = set()
         for _ in range(2):
             with pytest.raises(FileNotFoundError) as err:
-                atomic_write_text("missing/l.jsonl", "x")
+                write_files({"missing/l.jsonl": "x"})
             messages.add(str(err.value))
         assert messages == {
             "[Errno 2] No such file or directory: 'missing/l.jsonl'"}
@@ -127,7 +136,7 @@ class TestAtomicWriteText:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d").mkdir()
         with pytest.raises(IsADirectoryError) as err:
-            atomic_write_text("d", "x")
+            write_files({"d": "x"})
         assert str(err.value) == "[Errno 21] Is a directory: 'd'"
         assert [path.name for path in tmp_path.iterdir()] == ["d"]
         assert list((tmp_path / "d").iterdir()) == []
@@ -137,11 +146,65 @@ class TestAtomicWriteText:
             self, tmp_path, monkeypatch, path):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "f").write_text("kept", encoding="utf-8")
-        with pytest.raises(NotADirectoryError) as err:
-            atomic_write_text(path, "x")
+        with pytest.raises(IsADirectoryError) as err:
+            write_files({path: "x"})
         assert err.value.filename == path
         assert [p.name for p in tmp_path.iterdir()] == ["f"]
         assert (tmp_path / "f").read_text(encoding="utf-8") == "kept"
+
+    @pytest.mark.parametrize("path", REFUSED)
+    def test_raises_as_open_does_and_leaves_nothing(self, tmp_path,
+                                                    monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text("", encoding="utf-8")
+        with pytest.raises(OSError) as written:
+            write_files({path: "x"})
+        with pytest.raises(OSError) as opened:
+            open(path, "w", encoding="utf-8")
+        assert (type(written.value), str(written.value)) == \
+            (type(opened.value), str(opened.value))
+        assert written.value.filename == path
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", "f"]
+        assert (tmp_path / "f").read_text(encoding="utf-8") == ""
+
+    @pytest.mark.parametrize("later", ["d", "missing/x.json", "f/x/"])
+    def test_a_refused_later_path_leaves_the_earlier_unchanged(
+            self, tmp_path, monkeypatch, later):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text("", encoding="utf-8")
+        (tmp_path / "old.txt").write_text("old", encoding="utf-8")
+        with pytest.raises(OSError) as err:
+            write_files({"new.txt": "x", "old.txt": "x", later: "x"})
+        assert err.value.filename == later
+        assert sorted(p.name for p in tmp_path.rglob("*")) == \
+            ["d", "f", "old.txt"]
+        assert (tmp_path / "old.txt").read_text(encoding="utf-8") == "old"
+
+    def test_an_unencodable_later_text_leaves_no_earlier_file(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(UnicodeEncodeError):
+            write_files({"a.txt": "x", "b.txt": "\ud800"})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_rename_removes_the_temp_files_not_renamed(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        replace = os.replace
+        renamed = []
+
+        def fail_second(source, target):
+            if renamed:
+                raise OSError(errno.EBUSY, os.strerror(errno.EBUSY))
+            replace(source, target)
+            renamed.append(target)
+        monkeypatch.setattr(os, "replace", fail_second)
+        with pytest.raises(OSError) as err:
+            write_files({"a.txt": "a", "b.txt": "b", "c.txt": "c"})
+        assert (err.value.errno, err.value.filename) == (errno.EBUSY, "b.txt")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
 
 class TestCsvText:
@@ -155,47 +218,3 @@ class TestCsvText:
         assert row[0] == awkward
         assert float(row[1]) == score and row[1] == repr(score)
         assert row[2] == ""
-
-
-class TestCheckTarget:
-    @pytest.mark.parametrize("path", [
-        "d", "missing/x.json", "f/x.json", "f/x/y.json", "d/../f/x.json"])
-    def test_refuses_as_the_write_would(self, tmp_path, monkeypatch, path):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "d").mkdir()
-        (tmp_path / "f").write_text("", encoding="utf-8")
-        with pytest.raises(OSError) as checked:
-            check_target(path)
-        with pytest.raises(OSError) as written:
-            atomic_write_text(path, "x")
-        assert (type(checked.value), str(checked.value)) == \
-            (type(written.value), str(written.value))
-        assert checked.value.filename == path
-
-    # pathlib drops a trailing separator and a last "." part, so its
-    # parent is not open's.
-    @pytest.mark.parametrize("path", [
-        "new/", "f/", "d/", "missing/x/", "f/x/",
-        "missing/.", "missing/..", "f/.", "d/.", "d/..", ""])
-    def test_refuses_a_path_as_open_does(self, tmp_path, monkeypatch, path):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "d").mkdir()
-        (tmp_path / "f").write_text("", encoding="utf-8")
-        with pytest.raises(OSError) as checked:
-            check_target(path)
-        with pytest.raises(OSError) as opened:
-            open(path, "w", encoding="utf-8")
-        assert (type(checked.value), str(checked.value)) == \
-            (type(opened.value), str(opened.value))
-        assert checked.value.filename == path
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "f"]
-
-    @pytest.mark.parametrize("path", ["new.json", "f", "d/new.json"])
-    def test_passes_a_writable_target_and_writes_nothing(
-            self, tmp_path, monkeypatch, path):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "d").mkdir()
-        (tmp_path / "f").write_text("", encoding="utf-8")
-        check_target(path)
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", "f"]
-        assert (tmp_path / "f").read_text(encoding="utf-8") == ""
