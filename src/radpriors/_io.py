@@ -19,6 +19,7 @@ import errno
 import io
 import json
 import os
+import stat
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -97,26 +98,33 @@ def write_files(files: dict[str | Path, str]) -> None:
 
     Each text goes first to a temp file where ``open(path, "w")`` would
     create the file, so a path ``open`` refuses fails as it fails; a path
-    that ends in a separator or is a directory is then refused as one.
-    Only once all are written is each temp file renamed onto its path, in
-    order. A failure leaves no temp file, and no path changed unless a
-    rename failed; its ``OSError`` names the path as given. A symbolic
-    link at a path becomes a regular file, its target unchanged, and each
-    file gets a plain ``open``'s mode: 0o666 less the umask.
+    that ends in a separator or is a directory is then refused as one, and
+    any other error ``os.stat`` gives on a path but its absence (a name
+    too long, a loop of links) is raised. Only once all are written is
+    each temp file renamed onto its path, in order. A failure leaves no
+    temp file, and no path changed unless a rename failed; its
+    ``OSError`` names the path as given. A symbolic link at a path
+    becomes a regular file, its target unchanged, and each file gets a
+    plain ``open``'s mode: 0o666 less the umask.
     """
     temps: list[tuple[str, str]] = []  # (temp, path) not yet renamed
     try:
         for path, text in files.items():
             name = os.fspath(path)
-            # The parent as ``open`` finds it: "d/." is in "d".
-            parent, base = os.path.split(name.rstrip(os.sep))
+            # The parent as ``open`` finds it: "d/." is in "d".  A temp
+            # name of fixed length fits wherever the target's name fits.
+            parent = os.path.dirname(name.rstrip(os.sep))
             temp = os.path.join(parent or os.curdir,
-                                f".{base}.{os.urandom(8).hex()}.tmp")
+                                f".{os.urandom(8).hex()}.tmp")
             with open(temp, "x", encoding="utf-8") as handle:
                 temps.append((temp, name))
-                if name.endswith(os.sep) or os.path.isdir(name):
-                    raise IsADirectoryError(errno.EISDIR,
-                                            os.strerror(errno.EISDIR))
+                try:
+                    if name.endswith(os.sep) or \
+                            stat.S_ISDIR(os.stat(name).st_mode):
+                        raise IsADirectoryError(errno.EISDIR,
+                                                os.strerror(errno.EISDIR))
+                except FileNotFoundError:
+                    pass
                 handle.write(text)
         while temps:
             temp, name = temps[0]

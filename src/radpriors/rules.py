@@ -197,10 +197,12 @@ def _parse_atom(rule_id: str, part: str, line: int | None) -> _Atom:
 class RuleSet:
     """Parsed rules: keywords, patterns, and the change-verb subset.
 
-    The keywords and the two pattern lists are held as tuples, and none
-    of the five constructor fields can be rebound, so they cannot change
-    behind the index ``__init__`` builds. Equality and
-    ``repr`` cover those five fields only. A rule set is not hashable:
+    The keywords and the two pattern lists are held as tuples and the
+    change verbs as a frozenset, and none of the five constructor fields
+    can be rebound, so they cannot change behind the two memos: the
+    keyword entry of each token (:meth:`keyword_for`) and the templates
+    offered per set of literal tokens (:meth:`templates_for`). Equality
+    and ``repr`` cover those five fields only. A rule set is not hashable:
     defining ``__eq__`` sets ``__hash__`` to None. Only a rules file is
     checked: a set built directly may repeat a keyword or a rule id.
     """
@@ -217,34 +219,21 @@ class RuleSet:
             keywords=tuple(keywords),
             negation_patterns=tuple(negation_patterns),
             prior_patterns=tuple(prior_patterns),
-            change_verbs=change_verbs, version=version)
-        # Built from the fields once.  A stable sort, so surfaces of equal
-        # length keep file order.
-        self._by_precedence = sorted(self.keywords,
-                                     key=lambda entry: -len(entry.surface))
+            change_verbs=frozenset(change_verbs), version=version)
         self._keyword_memo: dict[str, KeywordEntry | None] = {}
-        # The literal index: one bit per distinct literal atom of the
-        # templates, each token's bits, and the bits each template needs,
-        # in file order.
-        self._literal_bits: dict[str, int] = {}
-        self._templates_memo: dict[int, tuple[tuple[RuleTemplate, ...],
-                                              ...]] = {}
-        atom_bits: dict[_Literal, int] = {}
-
-        def needed(template: RuleTemplate) -> int:
-            bits = 0
-            for atom in template.pre + template.post:
-                if isinstance(atom, _Literal):
-                    bit = atom_bits.setdefault(atom, 1 << len(atom_bits))
-                    for choice in atom.choices:
-                        self._literal_bits[choice] = \
-                            self._literal_bits.get(choice, 0) | bit
-                    bits |= bit
-            return bits
-
-        self._needed_bits = tuple(
-            [(template, needed(template)) for template in patterns]
+        # Each side's templates in file order, each with one set of
+        # choices per literal atom, and every literal choice.
+        self._needs = tuple(
+            [(template, [frozenset(atom.choices)
+                         for atom in template.pre + template.post
+                         if isinstance(atom, _Literal)])
+             for template in patterns]
             for patterns in (self.negation_patterns, self.prior_patterns))
+        self._literals = frozenset(
+            choice for side in self._needs for _, needs in side
+            for choices in needs for choice in choices)
+        self._templates_memo: dict[frozenset[str], tuple[
+            tuple[RuleTemplate, ...], ...]] = {}
 
     def __setattr__(self, name: str, value: object) -> None:
         if name in self._FIELDS:
@@ -269,17 +258,15 @@ class RuleSet:
         A template's every literal atom must equal some token of the
         sentence, so a template with an atom no token satisfies is left
         out. Both tuples keep file order. They are built once for each set
-        of satisfied atoms and remembered.
+        of literal tokens the sentence holds and remembered.
         """
-        present = 0
-        for token in tokens:
-            present |= self._literal_bits.get(token, 0)
+        present = self._literals.intersection(tokens)
         memo = self._templates_memo
         if present not in memo:
             memo[present] = tuple(
-                tuple(template for template, bits in needed_bits
-                      if bits & present == bits)
-                for needed_bits in self._needed_bits)
+                tuple(template for template, needs in side
+                      if not any(map(present.isdisjoint, needs)))
+                for side in self._needs)
         return memo[present]
 
     def keyword_for(self, token: str) -> KeywordEntry | None:
@@ -291,8 +278,10 @@ class RuleSet:
         """
         memo = self._keyword_memo
         if token not in memo:
-            memo[token] = next((entry for entry in self._by_precedence
-                                if entry.matches(token)), None)
+            memo[token] = max((entry for entry in self.keywords
+                               if entry.matches(token)),
+                              key=lambda entry: len(entry.surface),
+                              default=None)
         return memo[token]
 
 

@@ -91,6 +91,17 @@ for _metric in ("rouge_l", "cider", "bleu4", "bleu1"):
          "--csv", "{dir}/csv", "--plot-data", "{dir}/plot-data.csv"],
         _inputs("fixtures/", "gen/analyze-long/" if _metric == "rouge_l"
                 else "gen/analyze-long/seed5-"))
+# The options no case above runs, on the fixtures and one reduced corpus.
+for _command, _argv, _corpus in (
+        ("label --summary", ["label", "--summary", "{dir}/summary"],
+         "label-reports"),
+        ("eval --csv --gold-labels",
+         ["eval", "--csv", "{dir}/csv", "--gold-labels"], "eval-pairs"),
+        ("analyze --bins 7",
+         ["analyze", "--bins", "7", "--plot-data", "{dir}/plot-data.csv"],
+         "analyze-long")):
+    COMMANDS[_command] = ([*_argv, "--out", "{dir}/out"],
+                          _inputs("fixtures/", f"gen/{_corpus}/seed5-"))
 # infuse-demo reads no input: the bench's decodes, and a refused --max-len.
 for _seed in GEN.INFUSE_SEEDS:
     for _prior in (0, 1):

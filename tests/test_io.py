@@ -90,7 +90,7 @@ def restore_umask():
 # open's.
 REFUSED = ["d", "missing/x.json", "f/x.json", "f/x/y.json", "d/../f/x.json",
            "new/", "f/", "d/", "missing/x/", "f/x/", "missing/.",
-           "missing/..", "f/.", "d/.", "d/..", ""]
+           "missing/..", "f/.", "d/.", "d/..", "", "b" * 256]
 
 
 class TestWriteFiles:
@@ -114,9 +114,11 @@ class TestWriteFiles:
         def umask(mask):
             raise AssertionError("os.umask called")
         monkeypatch.setattr(os, "umask", umask)
-        write_files({tmp_path / "a.txt": "a\n", tmp_path / "b.txt": "b\n"})
+        # The longest name open writes is written too.
+        write_files({tmp_path / "a.txt": "a\n", tmp_path / "b.txt": "b\n",
+                     tmp_path / ("c" * 255): "c\n"})
         assert sorted(path.read_text(encoding="utf-8")
-                      for path in tmp_path.iterdir()) == ["a\n", "b\n"]
+                      for path in tmp_path.iterdir()) == ["a\n", "b\n", "c\n"]
 
     def test_unwritable_path_is_an_error_naming_it_as_given(self, tmp_path,
                                                             monkeypatch):
@@ -168,7 +170,8 @@ class TestWriteFiles:
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", "f"]
         assert (tmp_path / "f").read_text(encoding="utf-8") == ""
 
-    @pytest.mark.parametrize("later", ["d", "missing/x.json", "f/x/"])
+    @pytest.mark.parametrize("later", ["d", "missing/x.json", "f/x/",
+                                       "b" * 256])
     def test_a_refused_later_path_leaves_the_earlier_unchanged(
             self, tmp_path, monkeypatch, later):
         monkeypatch.chdir(tmp_path)

@@ -16,7 +16,7 @@ from radpriors.labeler import (ClassifiedMention, Labeler, Mention,
                                PriorLabel, Verdict, aggregate,
                                classify_mentions, extract_mentions,
                                label_corpus, label_report)
-from radpriors.rules import (KeywordEntry, RuleSet, default_rules,
+from radpriors.rules import (KeywordEntry, RuleSet, _Literal, default_rules,
                              load_rules, parse_template)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -661,6 +661,13 @@ class TestTemplateIndex:
             offered_ids = {id(template) for template in offered}
             assert offered == tuple(template for template in patterns
                                     if id(template) in offered_ids)
+            # Exactly the templates each of whose literal atoms has a
+            # choice among the tokens.
+            assert offered == tuple(
+                template for template in patterns
+                if all(set(atom.choices) & set(tokens)
+                       for atom in template.pre + template.post
+                       if isinstance(atom, _Literal)))
             for position in range(len(tokens)):
                 for template in patterns:
                     if template.match(tokens, (position, position + 1)):

@@ -103,8 +103,8 @@ class TestRuleSet:
             "change_verbs=frozenset(), version='0')")
 
     def test_holds_its_rules_as_tuples(self):
-        # A caller's list edited after construction would leave the
-        # keyword and literal indexes behind.
+        # A caller's list edited after construction would leave the two
+        # memos behind.
         keywords = [KeywordEntry("prior")]
         negations = [parse_template("neg", "no {m}")]
         priors = [parse_template("exam", "{m} exam")]
@@ -117,6 +117,13 @@ class TestRuleSet:
                 getattr(rules, name).append(KeywordEntry("stable"))
         assert rules == RuleSet(tuple(keywords[:1]), tuple(negations),
                                 tuple(priors), frozenset())
+        # The change verbs are held as a frozenset of their own.
+        verbs = {"increase"}
+        bare = RuleSet([KeywordEntry("increase", True)], [],
+                       [parse_template("p", "{m} opacity")], verbs)
+        verbs.discard("increase")
+        assert bare.change_verbs == frozenset({"increase"})
+        assert Labeler(bare).label("r", "Increased opacity.").value == 0
 
     def test_fields_cannot_be_rebound(self):
         rules = RuleSet([KeywordEntry("prior")], [], [], frozenset())
