@@ -65,7 +65,11 @@ def extract_findings(raw_text: str) -> str:
     unchanged, so bare-text corpora pass through. Headers are found in
     the lowercased text, and the section is cut from the text as given.
     """
-    lowered = raw_text.lower()
+    # Only "İ" lowercases to more than one character: "i" and U+0307.
+    # Neither can be in a header match, since each "i" of a header is
+    # followed by a letter, so a one-character stand-in that no header
+    # holds keeps every offset in the lowercase an offset in ``raw_text``.
+    lowered = raw_text.replace("İ", "x").lower()
     start = lowered.find(_FINDINGS_HEADER)
     if start < 0:
         return raw_text
@@ -75,21 +79,7 @@ def extract_findings(raw_text: str) -> str:
         pos = lowered.find(header, body_start)
         if 0 <= pos < body_end:
             body_end = pos
-    if len(lowered) != len(raw_text):
-        body_start = _raw_offset(raw_text, body_start)
-        body_end = _raw_offset(raw_text, body_end)
     return raw_text[body_start:body_end].strip()
-
-
-def _raw_offset(raw_text: str, lowered_offset: int) -> int:
-    # Where ``raw_text.lower()[lowered_offset:]`` starts in ``raw_text``; a
-    # character may lowercase to more than one ("İ" to "i" and a dot).
-    lowered_end = 0
-    for index, ch in enumerate(raw_text):
-        if lowered_end >= lowered_offset:
-            return index
-        lowered_end += len(ch.lower())
-    return len(raw_text)
 
 
 def split_sentences(text: str) -> list[str]:
@@ -280,24 +270,21 @@ _LOADERS = dict(zip(CORPUS_FORMATS, (_load_jsonl, _load_csv), strict=True))
 
 
 def _record_from_mapping(obj: dict, where: dict) -> CorpusRecord:
-    for name in _REQUIRED_FIELDS:
-        if name not in obj:
+    # One pass, in field order; within a field the first fault applies.
+    for name in _STRING_FIELDS:
+        required = name in _REQUIRED_FIELDS
+        if required and name not in obj:
             raise CorpusError(f"missing required field {name!r}", **where)
-        if not isinstance(obj[name], str):
+        value = obj.get(name)
+        if not isinstance(value, str) and (value is not None or required):
             raise CorpusError(f"field {name!r} must be a string", **where)
+        if value and not value.isascii() and _SURROGATE.search(value):
+            raise CorpusError(f"field {name!r} holds a lone surrogate",
+                              **where)
     label = obj.get("label")
     if label in ("0", "1"):
         label = int(label)
     elif label is not None and (type(label) is not int or label not in (0, 1)):
         raise CorpusError(f"field 'label' must be 0 or 1, got {label!r}",
                           **where)
-    for name in _STRING_FIELDS:
-        value = obj.get(name)
-        if value is not None and not isinstance(value, str):
-            raise CorpusError(f"field {name!r} must be a string", **where)
-    for name in _STRING_FIELDS:
-        value = obj.get(name)
-        if value and not value.isascii() and _SURROGATE.search(value):
-            raise CorpusError(f"field {name!r} holds a lone surrogate",
-                              **where)
     return CorpusRecord(*map(obj.get, _STRING_FIELDS), label)

@@ -274,9 +274,8 @@ def _encode(model: ToyModel, images: ImagePair, prior: float | None) -> dict:
     steps entirely (the baseline path), which is distinct from adding a
     zero.
     """
-    patches = _flatten_patches(images)
     p = model.params
-    V = patches @ p["W_proj"]
+    V = visual_extract(images, model)
     V1 = V if prior is None else infuse(V, prior)
     V2 = V1 + model.enc_pos
     H2, block = _block(model, _ENCODER_BLOCK, V2, V2 @ p["W_k"],
@@ -285,7 +284,7 @@ def _encode(model: ToyModel, images: ImagePair, prior: float | None) -> dict:
     Ln = L if prior is None else infuse(L, prior)
     if not np.isfinite(Ln).all():
         raise InfusionError("encoder produced non-finite latents")
-    return {"patches": patches, "block": block, "L": L, "Ln": Ln,
+    return {"block": block, "L": L, "Ln": Ln,
             "Kd": Ln @ p["W_dk"], "Vd": Ln @ p["W_dv"]}
 
 
@@ -391,7 +390,7 @@ def teacher_forced_loss(model: ToyModel, images: ImagePair, prior: float,
     dV2 += dVv @ p["W_v"].T
 
     d_prior += float(dV2.sum())
-    grads["W_proj"] += state["patches"].T @ dV2
+    grads["W_proj"] += _flatten_patches(images).T @ dV2
     return loss, grads, d_prior
 
 

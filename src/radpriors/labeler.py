@@ -17,13 +17,12 @@ sentence's evidence does not depend on the report it sits in.
 once, up to case, and keeps its evidence by the sentence's lowercase;
 each occurrence copies the evidence with its own sentence index. It
 lowercases each findings section once, after cutting it, and finds where
-each keyword surface of its screen (those :meth:`Labeler.screen` tests
-for) occurs. A section that holds none is not split; otherwise only the
-sentences up to the one that holds the last hit are cut, and only a
-sentence that holds a hit is stripped, looked up, and on a miss
-tokenized and labeled. So the cache holds only keyword sentences, and
-grows with the distinct ones. A mention is tried only against the
-templates whose literals its sentence holds
+each keyword surface of its screen occurs. A section that holds none is
+not split; otherwise only the sentences up to the one that holds the
+last hit are cut, and only a sentence that holds a hit is stripped,
+looked up, and on a miss tokenized and labeled. So the cache holds only
+keyword sentences, and grows with the distinct ones. A mention is tried
+only against the templates whose literals its sentence holds
 (:meth:`RuleSet.templates_for`), in file order, so the same rule fires.
 """
 
@@ -180,22 +179,16 @@ class Labeler:
 
     def __init__(self, rules: RuleSet) -> None:
         self.rules = rules
+        # A mention's token starts with its keyword's surface and lies in
+        # its sentence's lowercase, and so in its section's: sentences end
+        # before whitespace, so even a final sigma lowercases alike. A
+        # surface that holds another is left out, as redundant.
         surfaces = dict.fromkeys(entry.surface for entry in rules.keywords)
         self._screen = tuple(surface for surface in surfaces if not any(
             other in surface and other != surface for other in surfaces))
         # A keyword sentence's lowercase -> the evidence of a one-sentence
         # report of it.
         self._evidence_of: dict[str, tuple[ClassifiedMention, ...]] = {}
-
-    def screen(self, text: str) -> tuple[str, ...]:
-        """The screen's keyword surfaces that ``text``'s lowercase holds.
-
-        A mention's token starts with its keyword's surface and is a
-        substring of its sentence's lowercase, and so of its section's:
-        sentences end before whitespace, so even a final sigma lowercases
-        alike. A surface that holds another is left out, as redundant.
-        """
-        return tuple(filter(text.lower().__contains__, self._screen))
 
     def label(self, record_id: str, text: str) -> PriorLabel:
         """The label ``label_report(make_report(record_id, text), rules)``.

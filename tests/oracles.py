@@ -1,5 +1,9 @@
 """Plain reference implementations the fast paths are held to.
 
+``reference_extract_findings`` finds the headers in the text's plain
+lowercase and, where that is longer than the text (each "İ" lowercases
+to two characters), maps each offset back one character at a time.
+
 ``reference_split_sentences`` is the character loop that found sentence
 boundaries before one regex did. It keeps its own copy of the guard that
 holds a period after an initial or an abbreviation inside the sentence,
@@ -42,7 +46,7 @@ from itertools import repeat
 
 import numpy as np
 
-from radpriors.corpus import Report, extract_findings, tokenize
+from radpriors.corpus import Report, tokenize
 from radpriors.infusion import (BOS_TOKEN, EMBED_DIM, EOS_TOKEN, IMAGE_SIZE,
                                 LATENT_DIM, MAX_LEN, PATCH_SIZE, PROBE,
                                 VOCAB_SIZE, ForwardResult, GradCheckReport,
@@ -54,7 +58,36 @@ from radpriors.metrics import _cosine
 from radpriors.rules import _Gap
 
 
+FINDINGS_HEADER = "findings:"
+STOP_HEADERS = ("impression:", "recommendation:")
 ABBREVIATIONS = {"dr", "mr", "mrs", "ms", "vs", "a.m", "p.m", "e.g", "i.e"}
+
+
+def reference_extract_findings(raw_text):
+    lowered = raw_text.lower()
+    start = lowered.find(FINDINGS_HEADER)
+    if start < 0:
+        return raw_text
+    body_start = start + len(FINDINGS_HEADER)
+    body_end = len(lowered)
+    for header in STOP_HEADERS:
+        pos = lowered.find(header, body_start)
+        if 0 <= pos < body_end:
+            body_end = pos
+    if len(lowered) != len(raw_text):
+        body_start = _raw_offset(raw_text, body_start)
+        body_end = _raw_offset(raw_text, body_end)
+    return raw_text[body_start:body_end].strip()
+
+
+def _raw_offset(raw_text, lowered_offset):
+    # Where ``raw_text.lower()[lowered_offset:]`` starts in ``raw_text``.
+    lowered_end = 0
+    for index, ch in enumerate(raw_text):
+        if lowered_end >= lowered_offset:
+            return index
+        lowered_end += len(ch.lower())
+    return len(raw_text)
 
 
 def reference_guarded_period(text, i):
@@ -89,7 +122,7 @@ def reference_split_sentences(text):
 
 
 def reference_make_report(report_id, raw_text):
-    sentences = reference_split_sentences(extract_findings(raw_text))
+    sentences = reference_split_sentences(reference_extract_findings(raw_text))
     return Report(id=report_id, sentences=sentences,
                   tokens=[tokenize(s) for s in sentences])
 

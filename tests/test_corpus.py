@@ -10,7 +10,7 @@ import unicodedata
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import reference_split_sentences
+from oracles import reference_extract_findings, reference_split_sentences
 from radpriors.corpus import (CorpusError, CorpusRecord, extract_findings,
                               load_corpus, make_report, split_sentences,
                               tokenize)
@@ -58,12 +58,14 @@ class TestExtractFindings:
 
     @given(st.lists(st.sampled_from(
         ["İ", "FINDINGS:", "findings:", "IMPRESSION:", "recommendation:",
-         "İMPRESSION:", "fİndings:", " ", "a", "."]), max_size=12).map("".join))
+         "İMPRESSION:", "fİndings:", "FİNDINGS:", "Σ", "ΑΣ", "\u212a",
+         " ", "a", "."]), max_size=12).map("".join))
     def test_dotted_capital_i_takes_the_place_of_one_character(self, raw):
         # "X" lowercases to one character that is in no header, as "İ"
         # is in none, so both texts cut the same span.
         plain = extract_findings(raw.replace("İ", "X"))
         assert extract_findings(raw).replace("İ", "X") == plain
+        assert extract_findings(raw) == reference_extract_findings(raw)
 
 
 class TestSplitSentences:
@@ -299,6 +301,28 @@ class TestLoadCorpus:
             json.dumps({"id": "a", "text": "t", "label": True})], "bool.jsonl")
         with pytest.raises(CorpusError, match="label"):
             load_corpus(boolean)
+
+    # Fields are checked in the order id, text, reference, candidate,
+    # then label; the first fault is reported.
+    @pytest.mark.parametrize("line, fault", [
+        ('{"id": 7, "text": "t"}', "field 'id' must be a string"),
+        ('{"id": "a", "text": null}', "field 'text' must be a string"),
+        ('{"id": "a", "text": "t", "reference": 1}',
+         "field 'reference' must be a string"),
+        ('{"id": "a", "text": "t", "candidate": ["c"]}',
+         "field 'candidate' must be a string"),
+        ('{"id": "a", "text": "t", "reference": 1, "label": 2}',
+         "field 'reference' must be a string"),
+        (r'{"id": "\ud800", "text": "t", "label": 2}',
+         "field 'id' holds a lone surrogate"),
+        (r'{"id": "a", "text": "\ud800", "candidate": 1}',
+         "field 'text' holds a lone surrogate"),
+    ])
+    def test_a_record_reports_its_first_fault(self, tmp_path, line, fault):
+        with pytest.raises(CorpusError) as err:
+            load_corpus(self._write(tmp_path, [line]))
+        assert str(err.value) == f"line 1: {fault} (byte offset 0)"
+        assert err.value.line == 1
 
     def test_missing_optional_fields_stay_absent(self, tmp_path):
         path = self._write(tmp_path, [json.dumps({"id": "a", "text": "t"})])

@@ -393,6 +393,9 @@ class TestLabelCorpusEqualsReference:
                         "previous film. No previous exam. Unchanging."])
     @example("nested", ["FINDINGS: Previous film. IMPRESSION: none.",
                         "Unchanging since XXXX."])
+    @example("custom", ["\u212aV", "İ", "Α ΑΣ.", "Α ΑΣΑ", "K\u0307"])
+    @example("custom", ["\u212aVp film.", "İ exam.", "Α ΑΣ film.",
+                        "ΑΣΑ film. K\u0307 exam."])
     def test_labels_equal_the_full_chain(self, rules_name, texts):
         rules = RULE_SETS[rules_name]
         records = records_of(texts)
@@ -408,7 +411,8 @@ class TestLabelCorpusEqualsReference:
 
     def test_straddling_surface_passes_the_screen_and_labels_0(self):
         findings = "Lungs clear. Prior film."
-        assert Labeler(STRADDLING_RULES).screen(findings) == ("clear. prior",)
+        assert "clear. prior" in findings.lower()
+        assert Labeler(STRADDLING_RULES)._screen == ("clear. prior",)
         labels, _ = label_corpus(records_of([findings]), STRADDLING_RULES)
         assert labels == [PriorLabel(0, ())]
 
@@ -512,20 +516,8 @@ class TestLabelCorpusEqualsReference:
         assert [[item.mention.sentence_index for item in label.evidence]
                 for label in labels] == [[1], [2, 3], [], []]
 
-    def test_screen_reads_the_lowercase(self):
-        screen = Labeler(CUSTOM_RULES).screen
-        assert screen("\u212aV") == ("kv",)
-        assert screen("İ") == ("i\u0307",)
-        assert screen("Α ΑΣ.") == ("ας",)
-        assert not screen("Α ΑΣΑ")
-        assert not screen("K\u0307")
-
     def test_screen_leaves_out_a_surface_that_holds_another(self):
-        screen = Labeler(NESTED_RULES).screen
-        assert screen("PREVIOUSLY unchanged.") == ("unchang", "previous")
-        assert screen("Previous film.") == ("previous",)
-        assert screen("Unchanging.") == ("unchang",)
-        assert not screen("Prev. unch.")
+        assert Labeler(NESTED_RULES)._screen == ("unchang", "previous")
 
     def test_one_engine_for_two_corpora_equals_a_fresh_one_for_each(
             self, rules, monkeypatch):
@@ -563,7 +555,7 @@ class TestLabelCorpusEqualsReference:
         assert len(engine._evidence_of) > 10
         for sentence in engine._evidence_of:
             assert sentence == sentence.lower()
-            assert engine.screen(sentence)
+            assert any(s in sentence for s in engine._screen)
 
     def test_sentences_alike_up_to_case_share_one_entry(self, rules,
                                                         monkeypatch):

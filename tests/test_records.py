@@ -80,7 +80,7 @@ class TestRuleSet:
         assert rules.keyword_for("increased") == KeywordEntry("increase", True)
         assert rules.keyword_for("prior") == KeywordEntry("prior")
         assert rules.keyword_for("stable") is None
-        assert Labeler(rules).screen("Compared to PRIOR.") == ("prior",)
+        assert Labeler(rules)._screen == ("prior", "increase")
 
     def test_equality_covers_the_public_fields_only(self):
         used, fresh = default_rules(), default_rules()
@@ -131,7 +131,7 @@ class TestRuleSet:
             rules.keywords = (KeywordEntry("stable"),)
         assert rules.keyword_for("stable") is None
         assert rules.keyword_for("prior") == KeywordEntry("prior")
-        assert not Labeler(rules).screen("Stable.")
+        assert Labeler(rules)._screen == ("prior",)
         assert rules != RuleSet([KeywordEntry("stable")], [], [], frozenset())
         assert rules == RuleSet([KeywordEntry("prior")], [], [], frozenset())
         for name in RuleSet._FIELDS:
